@@ -10,14 +10,12 @@
 //!   a unit whose pivot component lacks a required label can be skipped
 //!   wholesale before any matching).
 //!
-//! Both knobs exist in the sequential `ReasonOptions` and the parallel
-//! `ParConfig`; each is toggled independently, everything else at
-//! defaults.
+//! Both are `ReasonConfig` fields, toggled independently at one worker
+//! (SeqSat/SeqImp) and at four (ParSat); everything else at defaults.
 
 use gfd_bench::{banner, fmt_duration, scale, time_median, Table};
-use gfd_core::{seq_imp_with, seq_sat_with, ReasonOptions};
+use gfd_core::{imp_with_config, sat_with_config, ReasonConfig};
 use gfd_gen::{real_life_workload, Dataset};
-use gfd_parallel::{par_sat, ParConfig};
 
 fn main() {
     let scale = scale();
@@ -42,15 +40,16 @@ fn main() {
     println!("\nSeqSat (satisfiable set) and SeqSat (unsat chain set):");
     let mut table = Table::new(&["variant", "sat set", "unsat set"]);
     for (name, dep, prune) in variants {
-        let opts = ReasonOptions {
+        let cfg = ReasonConfig {
             use_dependency_order: dep,
             prune_components: prune,
+            ..ReasonConfig::sequential()
         };
         let t_sat = time_median(scale.repeats, || {
-            assert!(seq_sat_with(&sat_w.sigma, &opts).is_satisfiable());
+            assert!(sat_with_config(&sat_w.sigma, &cfg).is_satisfiable());
         });
         let t_unsat = time_median(scale.repeats, || {
-            assert!(!seq_sat_with(&unsat_w.sigma, &opts).is_satisfiable());
+            assert!(!sat_with_config(&unsat_w.sigma, &cfg).is_satisfiable());
         });
         table.row(vec![
             name.to_string(),
@@ -63,13 +62,14 @@ fn main() {
     println!("\nSeqImp over {} probes:", probes.len());
     let mut table = Table::new(&["variant", "time"]);
     for (name, dep, prune) in variants {
-        let opts = ReasonOptions {
+        let cfg = ReasonConfig {
             use_dependency_order: dep,
             prune_components: prune,
+            ..ReasonConfig::sequential()
         };
         let t = time_median(scale.repeats, || {
             for p in &probes {
-                let r = seq_imp_with(&sat_w.sigma, &p.phi, &opts);
+                let r = imp_with_config(&sat_w.sigma, &p.phi, &cfg);
                 assert_eq!(r.is_implied(), p.expect_implied);
             }
         });
@@ -80,16 +80,16 @@ fn main() {
     println!("\nParSat (p=4), same knobs:");
     let mut table = Table::new(&["variant", "sat set", "unsat set"]);
     for (name, dep, prune) in variants {
-        let cfg = ParConfig {
+        let cfg = ReasonConfig {
             use_dependency_order: dep,
             prune_components: prune,
-            ..ParConfig::with_workers(4).with_ttl(scale.default_ttl)
+            ..ReasonConfig::with_workers(4).with_ttl(scale.default_ttl)
         };
         let t_sat = time_median(scale.repeats, || {
-            assert!(par_sat(&sat_w.sigma, &cfg).is_satisfiable());
+            assert!(sat_with_config(&sat_w.sigma, &cfg).is_satisfiable());
         });
         let t_unsat = time_median(scale.repeats, || {
-            assert!(!par_sat(&unsat_w.sigma, &cfg).is_satisfiable());
+            assert!(!sat_with_config(&unsat_w.sigma, &cfg).is_satisfiable());
         });
         table.row(vec![
             name.to_string(),

@@ -9,8 +9,9 @@
 //! scalability measure on hosts with fewer cores than workers.
 
 use gfd_bench::{banner, fmt_duration, scale, time_median, Table};
+use gfd_core::{sat_with_config, ReasonConfig};
 use gfd_gen::{real_life_workload, Dataset};
-use gfd_parallel::{par_sat, DispatchMode, ParConfig};
+use gfd_runtime::DispatchMode;
 use std::time::Duration;
 
 fn main() {
@@ -48,28 +49,30 @@ fn main() {
         ]);
         let mut first_makespan: Option<Duration> = None;
         for &p in &scale.workers {
-            let base = ParConfig::with_workers(p).with_ttl(scale.default_ttl);
+            let base = ReasonConfig::with_workers(p).with_ttl(scale.default_ttl);
             let mut makespan = Duration::ZERO;
             let mut splits = 0u64;
             let mut steals = 0u64;
             let t = time_median(scale.repeats, || {
-                let r = par_sat(&w.sigma, &base);
+                let r = sat_with_config(&w.sigma, &base);
                 assert!(r.is_satisfiable());
-                makespan = r.metrics.makespan().unwrap_or(r.metrics.elapsed);
-                splits = r.metrics.units_split;
-                steals = r.metrics.units_stolen;
+                makespan = r.stats.makespan().unwrap_or(r.stats.elapsed);
+                splits = r.stats.units_split;
+                steals = r.stats.units_stolen;
             });
             // The pre-unification dispatch topology: one central queue,
             // an idle round-trip per hand-out.
             let coordinator = base.clone().with_dispatch(DispatchMode::Coordinator);
             let t_coord = time_median(scale.repeats, || {
-                assert!(par_sat(&w.sigma, &coordinator).is_satisfiable());
+                assert!(sat_with_config(&w.sigma, &coordinator).is_satisfiable());
             });
             let t_np = time_median(scale.repeats, || {
-                assert!(par_sat(&w.sigma, &base.clone().without_pipeline()).is_satisfiable());
+                assert!(
+                    sat_with_config(&w.sigma, &base.clone().without_pipeline()).is_satisfiable()
+                );
             });
             let t_nb = time_median(scale.repeats, || {
-                assert!(par_sat(&w.sigma, &base.clone().without_split()).is_satisfiable());
+                assert!(sat_with_config(&w.sigma, &base.clone().without_split()).is_satisfiable());
             });
             let speedup = first_makespan.get_or_insert(makespan).as_secs_f64()
                 / makespan.as_secs_f64().max(1e-9);

@@ -7,8 +7,8 @@
 //! sensitive to |Σ| when Σ |= ϕ (early termination).
 
 use gfd_bench::{banner, fmt_duration, scale, time_median, Table};
+use gfd_core::{imp_with_config, ReasonConfig};
 use gfd_gen::synthetic_workload;
-use gfd_parallel::{par_imp, ParConfig};
 
 fn main() {
     let scale = scale();
@@ -17,7 +17,7 @@ fn main() {
         "SeqImp 982s / ParImp 342s at |Σ|=10000; ParImp 3.1x vs SeqImp, 4.8x vs ParImpRDF",
     );
 
-    let cfg = ParConfig::with_workers(4).with_ttl(scale.default_ttl);
+    let cfg = ReasonConfig::with_workers(4).with_ttl(scale.default_ttl);
     let mut table = Table::new(&[
         "|Σ|",
         "SeqImp",
@@ -39,13 +39,17 @@ fn main() {
             run_all(&|phi| gfd_core::seq_imp(&w.sigma, phi).is_implied())
         });
         let t_par = time_median(scale.repeats, || {
-            run_all(&|phi| par_imp(&w.sigma, phi, &cfg).is_implied())
+            run_all(&|phi| imp_with_config(&w.sigma, phi, &cfg).is_implied())
         });
         let t_np = time_median(scale.repeats, || {
-            run_all(&|phi| par_imp(&w.sigma, phi, &cfg.clone().without_pipeline()).is_implied())
+            run_all(&|phi| {
+                imp_with_config(&w.sigma, phi, &cfg.clone().without_pipeline()).is_implied()
+            })
         });
         let t_nb = time_median(scale.repeats, || {
-            run_all(&|phi| par_imp(&w.sigma, phi, &cfg.clone().without_split()).is_implied())
+            run_all(&|phi| {
+                imp_with_config(&w.sigma, phi, &cfg.clone().without_split()).is_implied()
+            })
         });
         let t_rdf = time_median(scale.repeats.min(2), || {
             run_all(&|phi| gfd_chase::chase_imp(&w.sigma, phi).is_implied())

@@ -6,8 +6,8 @@
 //! the fastest at every l.
 
 use gfd_bench::{banner, fmt_duration, scale, time_median, Table};
+use gfd_core::{imp_with_config, sat_with_config, ReasonConfig};
 use gfd_gen::synthetic_workload;
-use gfd_parallel::{par_imp, par_sat, ParConfig};
 
 fn main() {
     let scale = scale();
@@ -16,7 +16,7 @@ fn main() {
         "l=5: SeqSat 351s, ParSat 108s | SeqImp 262s, ParImp 77s; mild l-sensitivity",
     );
 
-    let cfg = ParConfig::with_workers(4).with_ttl(scale.default_ttl);
+    let cfg = ReasonConfig::with_workers(4).with_ttl(scale.default_ttl);
 
     println!("\nFig. 6(h) — satisfiability:");
     let mut table = Table::new(&["l", "SeqSat", "ParSat", "np", "nb"]);
@@ -26,13 +26,13 @@ fn main() {
             assert!(gfd_core::seq_sat(&w.sigma).is_satisfiable());
         });
         let t_par = time_median(scale.repeats, || {
-            assert!(par_sat(&w.sigma, &cfg).is_satisfiable());
+            assert!(sat_with_config(&w.sigma, &cfg).is_satisfiable());
         });
         let t_np = time_median(scale.repeats, || {
-            assert!(par_sat(&w.sigma, &cfg.clone().without_pipeline()).is_satisfiable());
+            assert!(sat_with_config(&w.sigma, &cfg.clone().without_pipeline()).is_satisfiable());
         });
         let t_nb = time_median(scale.repeats, || {
-            assert!(par_sat(&w.sigma, &cfg.clone().without_split()).is_satisfiable());
+            assert!(sat_with_config(&w.sigma, &cfg.clone().without_split()).is_satisfiable());
         });
         table.row(vec![
             l.to_string(),
@@ -58,13 +58,17 @@ fn main() {
             run_all(&|phi| gfd_core::seq_imp(&w.sigma, phi).is_implied())
         });
         let t_par = time_median(scale.repeats, || {
-            run_all(&|phi| par_imp(&w.sigma, phi, &cfg).is_implied())
+            run_all(&|phi| imp_with_config(&w.sigma, phi, &cfg).is_implied())
         });
         let t_np = time_median(scale.repeats, || {
-            run_all(&|phi| par_imp(&w.sigma, phi, &cfg.clone().without_pipeline()).is_implied())
+            run_all(&|phi| {
+                imp_with_config(&w.sigma, phi, &cfg.clone().without_pipeline()).is_implied()
+            })
         });
         let t_nb = time_median(scale.repeats, || {
-            run_all(&|phi| par_imp(&w.sigma, phi, &cfg.clone().without_split()).is_implied())
+            run_all(&|phi| {
+                imp_with_config(&w.sigma, phi, &cfg.clone().without_split()).is_implied()
+            })
         });
         table.row(vec![
             l.to_string(),

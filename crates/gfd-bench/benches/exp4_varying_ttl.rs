@@ -8,10 +8,9 @@
 //! which is what makes splitting matter.
 
 use gfd_bench::{banner, fmt_duration, scale, time_median, Table};
-use gfd_core::{Gfd, GfdSet, Literal};
+use gfd_core::{imp_with_config, sat_with_config, Gfd, GfdSet, Literal, ReasonConfig};
 use gfd_gen::{real_life_workload, Dataset};
 use gfd_graph::{LabelId, Pattern, VarId};
-use gfd_parallel::{par_imp, par_sat, ParConfig};
 
 /// Add heavy-tailed rules: wildcard chains whose pivot units explode on
 /// hub nodes of the canonical graph.
@@ -50,17 +49,17 @@ fn main() {
     println!("\nFig. 6(k) — ParSat vs ParSatnp, varying TTL:");
     let mut table = Table::new(&["TTL", "ParSat", "np", "splits", "imbalance"]);
     for &ttl in &scale.ttls {
-        let cfg = ParConfig::with_workers(4).with_ttl(ttl);
+        let cfg = ReasonConfig::with_workers(4).with_ttl(ttl);
         let mut splits = 0u64;
         let mut imbalance = f64::NAN;
         let t = time_median(scale.repeats, || {
-            let r = par_sat(&sigma, &cfg);
+            let r = sat_with_config(&sigma, &cfg);
             assert!(r.is_satisfiable());
-            splits = r.metrics.units_split;
-            imbalance = r.metrics.imbalance().unwrap_or(f64::NAN);
+            splits = r.stats.units_split;
+            imbalance = r.stats.imbalance().unwrap_or(f64::NAN);
         });
         let t_np = time_median(scale.repeats, || {
-            assert!(par_sat(&sigma, &cfg.clone().without_pipeline()).is_satisfiable());
+            assert!(sat_with_config(&sigma, &cfg.clone().without_pipeline()).is_satisfiable());
         });
         table.row(vec![
             format!("{ttl:?}"),
@@ -75,16 +74,16 @@ fn main() {
     println!("\nFig. 6(l) — ParImp vs ParImpnp, varying TTL:");
     let mut table = Table::new(&["TTL", "ParImp", "np"]);
     for &ttl in &scale.ttls {
-        let cfg = ParConfig::with_workers(4).with_ttl(ttl);
+        let cfg = ReasonConfig::with_workers(4).with_ttl(ttl);
         let t = time_median(scale.repeats, || {
             for p in &probes {
-                let r = par_imp(&sigma, &p.phi, &cfg);
+                let r = imp_with_config(&sigma, &p.phi, &cfg);
                 assert_eq!(r.is_implied(), p.expect_implied);
             }
         });
         let t_np = time_median(scale.repeats, || {
             for p in &probes {
-                let r = par_imp(&sigma, &p.phi, &cfg.clone().without_pipeline());
+                let r = imp_with_config(&sigma, &p.phi, &cfg.clone().without_pipeline());
                 assert_eq!(r.is_implied(), p.expect_implied);
             }
         });

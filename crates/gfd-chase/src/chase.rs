@@ -91,8 +91,7 @@ pub struct ChaseConfig {
     pub max_generated_nodes: u64,
     /// Unified resource budget (DESIGN.md §11.2): the deadline is checked
     /// at round boundaries and inside the scan via the scheduler, the unit
-    /// cap across all rounds, and the fresh-node axis tightens
-    /// `max_generated_nodes`. Exhaustion degrades to an `Interrupted`
+    /// cap across all rounds. Exhaustion degrades to an `Interrupted`
     /// outcome — the chase never claims a fixpoint it did not reach.
     pub budget: Budget,
     /// Structured tracing (DESIGN.md §13): per-rule scan spans on the
@@ -128,15 +127,6 @@ impl ChaseConfig {
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
         self
-    }
-
-    /// The effective fresh-node cap: the legacy `max_generated_nodes`
-    /// knob tightened by the budget's fresh-node axis.
-    fn effective_max_generated(&self) -> u64 {
-        match self.budget.max_fresh_nodes {
-            Some(b) => self.max_generated_nodes.min(b),
-            None => self.max_generated_nodes,
-        }
     }
 
     /// Scheduler options for one round's scan: the global deadline plus
@@ -915,7 +905,6 @@ pub fn dep_chase_with_config(
         metrics.deadline_slack_ms = config.budget.deadline_slack_ms();
         (outcome, stats, metrics)
     };
-    let max_generated = config.effective_max_generated();
 
     'rebuild: loop {
         // (Re-)freeze the current topology and enumerate premise matches.
@@ -1082,7 +1071,7 @@ pub fn dep_chase_with_config(
                             Ok(fresh) => {
                                 stats.generated_nodes += fresh as u64;
                                 changed = true;
-                                if stats.generated_nodes > max_generated {
+                                if stats.generated_nodes > config.max_generated_nodes {
                                     metrics.early_terminated = true;
                                     return done(
                                         DepChaseOutcome::BudgetExhausted {

@@ -80,8 +80,8 @@ impl DepSatResult {
     }
 }
 
-/// Map a chase worker/TTL/dispatch configuration onto the unified
-/// driver's knobs for the literal-only fast path. The TTL passes
+/// Map a chase worker/TTL/dispatch/budget/trace configuration onto the
+/// unified driver's knobs for the literal-only fast path. The TTL passes
 /// through verbatim: `Duration::ZERO` means "force splitting on every
 /// unit" on both routes, matching the repo-wide convention the
 /// equivalence suites rely on.
@@ -91,6 +91,7 @@ fn reason_config(cfg: &ChaseConfig) -> ReasonConfig {
         ttl: cfg.ttl,
         dispatch: cfg.dispatch,
         budget: cfg.budget,
+        trace: cfg.trace,
         ..ReasonConfig::default()
     }
 }
@@ -101,8 +102,8 @@ pub fn dep_sat(deps: &DepSet) -> DepSatResult {
     dep_sat_with_config(deps, &ChaseConfig::default())
 }
 
-/// Check satisfiability of a generalized Σ: literal-only sets run the
-/// original `SeqSat`/`ParSat` driver, mixed sets the generating chase
+/// Check satisfiability of a generalized Σ: literal-only sets run
+/// [`sat_with_config`] (SeqSat/ParSat), mixed sets the generating chase
 /// over `GΣ`.
 pub fn dep_sat_with_config(deps: &DepSet, config: &ChaseConfig) -> DepSatResult {
     if let Some(gfds) = deps.to_gfds() {
@@ -339,6 +340,29 @@ mod tests {
     }
 
     #[test]
+    fn literal_only_route_forwards_tracing() {
+        let mut vocab = Vocab::new();
+        let a = vocab.attr("a");
+        let rule = Gfd::new(
+            "g",
+            unary(&mut vocab, "t"),
+            vec![],
+            vec![Literal::eq_const(VarId::new(0), a, 0i64)],
+        );
+        let deps = DepSet::from_gfds(GfdSet::from_vec(vec![rule.clone()]));
+        let cfg = ChaseConfig {
+            trace: gfd_runtime::TraceSpec::enabled(),
+            ..ChaseConfig::with_workers(2)
+        };
+        let r = dep_sat_with_config(&deps, &cfg);
+        assert!(r.is_satisfiable());
+        assert!(!r.metrics.trace.events.is_empty(), "sat trace dropped");
+        let r = dep_imp_with_config(&deps, &Dependency::from_gfd(rule), &cfg);
+        assert!(r.is_implied());
+        assert!(!r.metrics.trace.events.is_empty(), "imp trace dropped");
+    }
+
+    #[test]
     fn generating_chase_grows_and_derives() {
         let mut vocab = Vocab::new();
         let deps = chain_deps(&mut vocab);
@@ -355,7 +379,8 @@ mod tests {
         let a1 = vocab.attr("a1");
         let b = vocab.attr("b");
         let derived = model.nodes().any(|n| {
-            model.attr(n, a1) == Some(ValueId::of(1i64)) && model.attr(n, b) == Some(ValueId::of(7i64))
+            model.attr(n, a1) == Some(ValueId::of(1i64))
+                && model.attr(n, b) == Some(ValueId::of(7i64))
         });
         assert!(derived, "generated node must cascade into literal rules");
     }

@@ -5,7 +5,7 @@ use crate::cmd_sat::interrupted;
 use crate::output::fmt_duration;
 use crate::traceopt::{dep_rule_names, TraceArgs, TRACE_HELP};
 use gfd_detect::{detect_deps, suggest_repairs, DetectConfig};
-use gfd_parallel::{EventKind, RunMetrics, TraceBuf, CONTROL_WORKER};
+use gfd_runtime::{EventKind, RunMetrics, TraceBuf, CONTROL_WORKER};
 use std::io::Write;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -331,7 +331,7 @@ fn run_stream(
         if opts.budget.expired() {
             return Err(interrupted(
                 &gfd_core::Interrupt::Deadline,
-                &gfd_parallel::RunMetrics {
+                &gfd_runtime::RunMetrics {
                     deadline_slack_ms: opts.budget.deadline_slack_ms(),
                     ..Default::default()
                 },

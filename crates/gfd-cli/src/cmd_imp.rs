@@ -1,13 +1,13 @@
 //! `gfd imp FILE` — implication checking.
 
-use crate::args::{load_document, parse_budget, ArgError, Parsed};
-use crate::cmd_sat::interrupted;
+use crate::args::{load_document, ArgError, Parsed};
+use crate::cmd_sat::{interrupted, parse_reason_flags};
 use crate::output::{fmt_chase_stats, fmt_duration, fmt_metrics};
-use crate::traceopt::{dep_rule_names, gfd_rule_names, TraceArgs, TRACE_HELP};
-use gfd_core::{DepSet, ReasonConfig};
-use gfd_parallel::ParConfig;
+use crate::traceopt::{dep_rule_names, TraceArgs, TRACE_HELP};
+use gfd_chase::{dep_imp_with_config, DepImpOutcome};
+use gfd_core::DepSet;
 use std::io::Write;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const HELP: &str = "\
 gfd imp FILE --phi NAME [--workers N] [--ttl-ms T] [--seq] [--metrics]
@@ -15,12 +15,13 @@ gfd imp FILE --phi NAME [--workers N] [--ttl-ms T] [--seq] [--metrics]
              [--trace FILE] [--profile] [--metrics-json FILE]
 
 Checks whether the other rules in FILE imply rule NAME (§VI). FILE may
-mix `gfd` and `ggd` blocks: a generating candidate against literal rules
-runs on the unified driver (realization early-exit); a generating Σ runs
+mix `gfd` and `ggd` blocks: against literal rules any candidate runs on
+the reasoning driver (SeqImp at one worker, ParImp at more; a generating
+candidate exits early once its target is realized); a generating Σ runs
 the GGD chase over the candidate's canonical graph.
   --phi NAME     the candidate rule ϕ (by its name in the file)
   --workers N    parallel workers (default 4)
-  --seq          use the sequential algorithm (workers = 1)
+  --seq          same as --workers 1
   --ttl-ms T     straggler TTL in milliseconds (default 2000)
   --metrics      print scheduler metrics (units, splits, steals, idle)
   --gen-budget B fresh-node budget of the GGD chase (default 100000);
@@ -42,13 +43,9 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
         .opt_str("phi")?
         .ok_or_else(|| ArgError::new("imp requires --phi NAME"))?
         .to_string();
-    let workers = args.opt_usize("workers", 4)?;
-    let ttl = Duration::from_millis(args.opt_u64("ttl-ms", 2000)?);
-    let sequential = args.flag("seq");
     let show_metrics = args.flag("metrics");
-    let gen_budget = args.opt_u64("gen-budget", 100_000)?;
-    let budget = parse_budget(&args)?;
     let tracing = TraceArgs::parse(&args)?;
+    let cfg = parse_reason_flags(&args, &tracing)?;
     args.finish()?;
 
     let mut vocab = gfd_graph::Vocab::new();
@@ -71,85 +68,31 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
         phi.display(&vocab)
     );
     let start = Instant::now();
-
-    // Route: a literal Σ with a literal ϕ is exactly the pre-refactor
-    // SeqImp/ParImp; a literal Σ with a generating ϕ runs the same driver
-    // under `Goal::GgdImp`; a generating Σ needs the chase.
-    let (implied, metrics, chase_stats, rule_names) = match (sigma.to_gfds(), phi.as_gfd()) {
-        (Some(gfds), Some(gfd)) => {
-            let cfg = if sequential {
-                gfd_core::ReasonConfig {
-                    split: false,
-                    ..ParConfig::with_workers(1)
-                        .with_ttl(ttl)
-                        .with_budget(budget)
-                        .with_trace(tracing.spec())
-                }
-            } else {
-                ParConfig::with_workers(workers)
-                    .with_ttl(ttl)
-                    .with_budget(budget)
-                    .with_trace(tracing.spec())
-            };
-            let r = gfd_parallel::par_imp(&gfds, &gfd, &cfg);
-            // Check the unknown arm before the yes/no split: a deadline
-            // expiry must exit 2, not report NOT IMPLIED.
-            if let gfd_core::ImpOutcome::Unknown(i) = &r.outcome {
-                return Err(interrupted(i, &r.metrics));
-            }
-            (r.is_implied(), r.metrics, None, gfd_rule_names(&gfds))
-        }
-        (Some(gfds), None) => {
-            let cfg = ReasonConfig {
-                workers: if sequential { 1 } else { workers.max(1) },
-                ttl,
-                budget,
-                trace: tracing.spec(),
-                ..ReasonConfig::default()
-            };
-            let r = gfd_core::ggd_imp_with_config(&gfds, &phi, &cfg);
-            if let Some(i) = r.interrupt() {
-                return Err(interrupted(i, &r.stats));
-            }
-            (r.is_implied(), r.stats, None, gfd_rule_names(&gfds))
-        }
-        (None, _) => {
-            let cfg = gfd_chase::ChaseConfig {
-                workers: if sequential { 1 } else { workers.max(1) },
-                ttl,
-                max_generated_nodes: gen_budget,
-                budget,
-                trace: tracing.spec(),
-                ..gfd_chase::ChaseConfig::default()
-            };
-            let r = gfd_chase::dep_imp_with_config(&sigma, &phi, &cfg);
-            if let gfd_chase::DepImpOutcome::Unknown { generated_nodes } = &r.outcome {
-                return Err(ArgError::new(format!(
-                    "generation budget ({gen_budget}) exhausted after materializing \
-                     {generated_nodes} node(s); raise --gen-budget to keep going"
-                )));
-            }
-            if let gfd_chase::DepImpOutcome::Interrupted(i) = &r.outcome {
-                return Err(interrupted(i, &r.metrics));
-            }
-            (
-                r.is_implied(),
-                r.metrics,
-                Some(r.stats),
-                dep_rule_names(&sigma),
-            )
-        }
-    };
+    let r = dep_imp_with_config(&sigma, &phi, &cfg);
     let elapsed = start.elapsed();
+    // Check the undecided arms before the yes/no split: a deadline expiry
+    // must exit 2, not report NOT IMPLIED.
+    match &r.outcome {
+        DepImpOutcome::Unknown { generated_nodes } => {
+            return Err(ArgError::new(format!(
+                "generation budget ({}) exhausted after materializing \
+                 {generated_nodes} node(s); raise --gen-budget to keep going",
+                cfg.max_generated_nodes
+            )));
+        }
+        DepImpOutcome::Interrupted(i) => return Err(interrupted(i, &r.metrics)),
+        DepImpOutcome::Implied(_) | DepImpOutcome::NotImplied => {}
+    }
 
+    let implied = r.is_implied();
     let verdict = if implied { "IMPLIED" } else { "NOT IMPLIED" };
     let _ = writeln!(out, "{verdict} ({})", fmt_duration(elapsed));
     if show_metrics {
-        let _ = write!(out, "{}", fmt_metrics(&metrics));
-        if let Some(stats) = &chase_stats {
-            let _ = write!(out, "{}", fmt_chase_stats(stats));
+        let _ = write!(out, "{}", fmt_metrics(&r.metrics));
+        if sigma.has_generating() {
+            let _ = write!(out, "{}", fmt_chase_stats(&r.stats));
         }
     }
-    tracing.emit(&metrics, &rule_names, out)?;
+    tracing.emit(&r.metrics, &dep_rule_names(&sigma), out)?;
     Ok(if implied { 0 } else { 1 })
 }

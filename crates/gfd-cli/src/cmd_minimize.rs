@@ -8,8 +8,7 @@
 
 use crate::args::{load_document, ArgError, Parsed};
 use crate::output::fmt_duration;
-use gfd_core::GfdSet;
-use gfd_parallel::ParConfig;
+use gfd_core::{imp_with_config, GfdSet, ReasonConfig};
 use std::io::Write;
 use std::time::{Duration, Instant};
 
@@ -20,7 +19,7 @@ Removes rules implied by the rest of the set (a cover). Order-dependent
 but always sound: the reduced set is equivalent to the original.
   --out PATH    write the reduced set (DSL) to PATH
   --workers N   parallel workers for each implication check (default 4)
-  --seq         use sequential SeqImp
+  --seq         same as --workers 1
 Exit code: 0 (prints how many rules were removed), 2 on error.
 ";
 
@@ -50,7 +49,7 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
         return Err(ArgError::new(format!("{path} contains no GFDs")));
     }
 
-    let cfg = ParConfig::with_workers(workers).with_ttl(ttl);
+    let cfg = ReasonConfig::with_workers(if sequential { 1 } else { workers }).with_ttl(ttl);
     let start = Instant::now();
     let mut kept: Vec<bool> = vec![true; rules.len()];
     for i in 0..rules.len() {
@@ -66,12 +65,7 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
         if sigma_i.is_empty() {
             continue;
         }
-        let implied = if sequential {
-            gfd_core::seq_imp(&sigma_i, &rules[i]).is_implied()
-        } else {
-            gfd_parallel::par_imp(&sigma_i, &rules[i], &cfg).is_implied()
-        };
-        if implied {
+        if imp_with_config(&sigma_i, &rules[i], &cfg).is_implied() {
             kept[i] = false;
             let _ = writeln!(out, "removed {} (implied by the rest)", rules[i].name);
         }

@@ -1,9 +1,10 @@
 //! `gfd sat FILE` — satisfiability checking.
 
 use crate::args::{load_document, parse_budget, ArgError, Parsed};
-use crate::output::{fmt_duration, fmt_metrics};
-use crate::traceopt::{dep_rule_names, gfd_rule_names, TraceArgs, TRACE_HELP};
-use gfd_parallel::ParConfig;
+use crate::output::{fmt_chase_stats, fmt_duration, fmt_metrics};
+use crate::traceopt::{dep_rule_names, TraceArgs, TRACE_HELP};
+use gfd_chase::{dep_sat_with_config, ChaseConfig, DepSatOutcome};
+use gfd_runtime::RunMetrics;
 use std::io::Write;
 use std::time::{Duration, Instant};
 
@@ -13,10 +14,11 @@ gfd sat FILE [--workers N] [--ttl-ms T] [--seq] [--model] [--metrics]
              [--trace FILE] [--profile] [--metrics-json FILE]
 
 Checks whether the rule set in FILE has a model (§IV–V of the paper).
-FILE may mix `gfd` and `ggd` blocks: literal-only sets run the
-SeqSat/ParSat driver, sets with generating rules the GGD chase.
+FILE may mix `gfd` and `ggd` blocks: literal-only sets run the reasoning
+driver (SeqSat at one worker, ParSat at more), sets with generating rules
+the GGD chase.
   --workers N    parallel workers (default 4)
-  --seq          use the sequential algorithm (workers = 1)
+  --seq          same as --workers 1
   --ttl-ms T     straggler TTL in milliseconds (default 2000)
   --model        on satisfiable sets, print the extracted model
   --metrics      print scheduler metrics (units, splits, steals, idle)
@@ -35,79 +37,56 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
         return Ok(0);
     }
     let path = args.positional(0, "FILE")?.to_string();
-    let workers = args.opt_usize("workers", 4)?;
-    let ttl = Duration::from_millis(args.opt_u64("ttl-ms", 2000)?);
-    let sequential = args.flag("seq");
     let show_model = args.flag("model");
     let show_metrics = args.flag("metrics");
-    let gen_budget = args.opt_u64("gen-budget", 100_000)?;
-    let budget = parse_budget(&args)?;
     let tracing = TraceArgs::parse(&args)?;
+    let cfg = parse_reason_flags(&args, &tracing)?;
     args.finish()?;
 
     let mut vocab = gfd_graph::Vocab::new();
-    let doc = load_document(&path, &mut vocab)?;
-    if doc.deps.is_empty() {
+    let sigma = load_document(&path, &mut vocab)?.deps;
+    if sigma.is_empty() {
         return Err(ArgError::new(format!("{path} contains no rules")));
     }
-    if doc.deps.has_generating() {
-        return run_generating(
-            &path,
-            doc,
-            &vocab,
-            workers,
-            ttl,
-            sequential,
-            show_model,
-            show_metrics,
-            gen_budget,
-            budget,
-            &tracing,
+    let generating = sigma.iter().filter(|(_, d)| d.is_generating()).count();
+    if generating > 0 {
+        let _ = writeln!(
             out,
+            "{}: {} rule(s) ({} generating), total size {} — GGD chase",
+            path,
+            sigma.len(),
+            generating,
+            sigma.total_size()
+        );
+    } else {
+        let _ = writeln!(
+            out,
+            "{}: {} rule(s), total size {}",
+            path,
+            sigma.len(),
+            sigma.total_size()
         );
     }
-    let sigma = doc.gfds;
-    let _ = writeln!(
-        out,
-        "{}: {} rule(s), total size {}",
-        path,
-        sigma.len(),
-        sigma.total_size()
-    );
 
     let start = Instant::now();
-    // The sequential and parallel algorithms share one driver: `--seq` is
-    // the workers = 1 instantiation, and both report the same metrics.
-    let (satisfiable, model, metrics) = if sequential {
-        let cfg = gfd_core::ReasonConfig {
-            split: false,
-            ..ParConfig::with_workers(1)
-                .with_ttl(ttl)
-                .with_budget(budget)
-                .with_trace(tracing.spec())
-        };
-        let r = gfd_core::sat_with_config(&sigma, &cfg);
-        // An interrupted run has no verdict: check before the yes/no
-        // split so a timeout cannot masquerade as UNSATISFIABLE.
-        if let Some(i) = r.interrupt() {
-            return Err(interrupted(i, &r.stats));
-        }
-        let model = r.model().cloned();
-        (r.is_satisfiable(), model, r.stats)
-    } else {
-        let cfg = ParConfig::with_workers(workers)
-            .with_ttl(ttl)
-            .with_budget(budget)
-            .with_trace(tracing.spec());
-        let r = gfd_parallel::par_sat(&sigma, &cfg);
-        if let gfd_core::SatOutcome::Unknown(i) = &r.outcome {
-            return Err(interrupted(i, &r.metrics));
-        }
-        let sat = r.is_satisfiable();
-        (sat, None, r.metrics)
-    };
+    let r = dep_sat_with_config(&sigma, &cfg);
     let elapsed = start.elapsed();
+    // An undecided run has no verdict: check before the yes/no split so a
+    // timeout cannot masquerade as UNSATISFIABLE.
+    match &r.outcome {
+        DepSatOutcome::Unknown { generated_nodes } => {
+            return Err(ArgError::new(format!(
+                "generation budget ({}) exhausted after materializing \
+                 {generated_nodes} node(s); the set may have no finite chase — \
+                 raise --gen-budget to keep going",
+                cfg.max_generated_nodes
+            )));
+        }
+        DepSatOutcome::Interrupted(i) => return Err(interrupted(i, &r.metrics)),
+        DepSatOutcome::Satisfiable(_) | DepSatOutcome::Unsatisfiable(_) => {}
+    }
 
+    let satisfiable = r.is_satisfiable();
     let verdict = if satisfiable {
         "SATISFIABLE"
     } else {
@@ -115,11 +94,14 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
     };
     let _ = writeln!(out, "{verdict} ({})", fmt_duration(elapsed));
     if show_metrics {
-        let _ = write!(out, "{}", fmt_metrics(&metrics));
+        let _ = write!(out, "{}", fmt_metrics(&r.metrics));
+        if generating > 0 {
+            let _ = write!(out, "{}", fmt_chase_stats(&r.stats));
+        }
     }
-    tracing.emit(&metrics, &gfd_rule_names(&sigma), out)?;
+    tracing.emit(&r.metrics, &dep_rule_names(&sigma), out)?;
     if show_model {
-        if let Some(model) = &model {
+        if let Some(model) = r.model() {
             let _ = writeln!(
                 out,
                 "model: {} nodes, {} edges, {} attributes",
@@ -128,16 +110,31 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
                 model.attr_count()
             );
             let _ = write!(out, "{}", gfd_dsl::print_graph("model", model, &vocab));
-        } else if satisfiable {
-            let _ = writeln!(out, "model: (run with --seq to extract a model)");
         }
     }
     Ok(if satisfiable { 0 } else { 1 })
 }
 
+/// Parse the reasoning flags `sat` and `imp` share into the one config of
+/// the `DepSet` entry points. `--seq` is exactly `--workers 1`.
+pub(crate) fn parse_reason_flags(
+    args: &Parsed,
+    tracing: &TraceArgs,
+) -> Result<ChaseConfig, ArgError> {
+    let workers = args.opt_usize("workers", 4)?;
+    Ok(ChaseConfig {
+        workers: if args.flag("seq") { 1 } else { workers.max(1) },
+        ttl: Duration::from_millis(args.opt_u64("ttl-ms", 2000)?),
+        max_generated_nodes: args.opt_u64("gen-budget", 100_000)?,
+        budget: parse_budget(args)?,
+        trace: tracing.spec(),
+        ..ChaseConfig::default()
+    })
+}
+
 /// Render an interrupted run as the uniform exit-2 diagnostic, with the
 /// budget context (panics, retries, deadline slack) that explains it.
-pub(crate) fn interrupted(i: &gfd_core::Interrupt, m: &gfd_parallel::RunMetrics) -> ArgError {
+pub(crate) fn interrupted(i: &gfd_core::Interrupt, m: &RunMetrics) -> ArgError {
     let mut msg = format!("run interrupted: {i}");
     if let Some(slack) = m.deadline_slack_ms {
         msg.push_str(&format!(" (deadline slack {slack}ms)"));
@@ -150,80 +147,4 @@ pub(crate) fn interrupted(i: &gfd_core::Interrupt, m: &gfd_parallel::RunMetrics)
     }
     msg.push_str("; raise --deadline-ms/--max-units to keep going");
     ArgError::new(msg)
-}
-
-/// The GGD route: the set contains generating rules, so satisfiability
-/// runs the chase over `GΣ` (scan units on the shared scheduler, serial
-/// generation between rounds) with a fresh-node termination budget.
-#[allow(clippy::too_many_arguments)]
-fn run_generating(
-    path: &str,
-    doc: gfd_dsl::Document,
-    vocab: &gfd_graph::Vocab,
-    workers: usize,
-    ttl: Duration,
-    sequential: bool,
-    show_model: bool,
-    show_metrics: bool,
-    gen_budget: u64,
-    budget: gfd_core::Budget,
-    tracing: &TraceArgs,
-    out: &mut dyn Write,
-) -> Result<i32, ArgError> {
-    let sigma = doc.deps;
-    let generating = sigma.iter().filter(|(_, d)| d.is_generating()).count();
-    let _ = writeln!(
-        out,
-        "{}: {} rule(s) ({} generating), total size {} — GGD chase",
-        path,
-        sigma.len(),
-        generating,
-        sigma.total_size()
-    );
-    let cfg = gfd_chase::ChaseConfig {
-        workers: if sequential { 1 } else { workers.max(1) },
-        ttl,
-        max_generated_nodes: gen_budget,
-        budget,
-        trace: tracing.spec(),
-        ..gfd_chase::ChaseConfig::default()
-    };
-    let start = Instant::now();
-    let r = gfd_chase::dep_sat_with_config(&sigma, &cfg);
-    let elapsed = start.elapsed();
-    if let gfd_chase::DepSatOutcome::Unknown { generated_nodes } = &r.outcome {
-        return Err(ArgError::new(format!(
-            "generation budget ({gen_budget}) exhausted after materializing \
-             {generated_nodes} node(s); the set may have no finite chase — \
-             raise --gen-budget to keep going"
-        )));
-    }
-    if let gfd_chase::DepSatOutcome::Interrupted(i) = &r.outcome {
-        return Err(interrupted(i, &r.metrics));
-    }
-    let satisfiable = r.is_satisfiable();
-    let verdict = if satisfiable {
-        "SATISFIABLE"
-    } else {
-        "UNSATISFIABLE"
-    };
-    let _ = writeln!(out, "{verdict} ({})", fmt_duration(elapsed));
-    if show_metrics {
-        let _ = write!(out, "{}", fmt_metrics(&r.metrics));
-        let _ = write!(out, "{}", crate::output::fmt_chase_stats(&r.stats));
-    }
-    tracing.emit(&r.metrics, &dep_rule_names(&sigma), out)?;
-    if show_model {
-        if let Some(model) = r.model() {
-            let _ = writeln!(
-                out,
-                "model: {} nodes, {} edges, {} attributes",
-                model.node_count(),
-                model.edge_count(),
-                model.attr_count()
-            );
-            let _ = write!(out, "{}", gfd_dsl::print_graph("model", model, vocab));
-        }
-    }
-    Ok(if satisfiable { 0 } else { 1 })
 }

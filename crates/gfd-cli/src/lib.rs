@@ -194,6 +194,30 @@ mod tests {
     }
 
     #[test]
+    fn parallel_sat_prints_the_model() {
+        let dir = std::env::temp_dir().join("gfd-cli-test-sat-model");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("sat.gfd");
+        std::fs::write(
+            &path,
+            "gfd a { pattern { node x: person } then { x.v = 1 } }\n",
+        )
+        .unwrap();
+        for workers in ["1", "2"] {
+            let (code, text) = run_vec(&[
+                "sat",
+                path.to_str().unwrap(),
+                "--workers",
+                workers,
+                "--model",
+            ]);
+            assert_eq!(code, 0, "workers={workers}: {text}");
+            assert!(text.contains("model: 1 nodes"), "workers={workers}: {text}");
+            assert!(text.contains("graph model {"), "workers={workers}: {text}");
+        }
+    }
+
+    #[test]
     fn end_to_end_ged_sat_and_resolve() {
         let dir = std::env::temp_dir().join("gfd-cli-test-ged");
         std::fs::create_dir_all(&dir).unwrap();

@@ -6,7 +6,7 @@
 //! tracing on for the run (the default stays the zero-cost disabled path).
 
 use crate::args::{ArgError, Parsed};
-use gfd_parallel::{RunMetrics, TraceSpec};
+use gfd_runtime::{RunMetrics, TraceSpec};
 use std::io::Write;
 
 /// Help text fragment shared by every command that takes the flags.
@@ -85,12 +85,29 @@ impl TraceArgs {
     }
 }
 
-/// Rule names in id order for a literal rule set.
-pub(crate) fn gfd_rule_names(sigma: &gfd_core::GfdSet) -> Vec<String> {
-    sigma.iter().map(|(_, g)| g.name.clone()).collect()
-}
-
 /// Rule names in id order for a generalized dependency set.
 pub(crate) fn dep_rule_names(sigma: &gfd_core::DepSet) -> Vec<String> {
     sigma.iter().map(|(_, d)| d.name.clone()).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn dep_rule_names_match_the_gfd_ids_of_a_literal_file() {
+        // The literal driver labels rule id `i` of the lowered `GfdSet`;
+        // the names must line up with the `DepSet` ids trace output uses.
+        let mut vocab = gfd_graph::Vocab::new();
+        let doc = gfd_dsl::parse_document(
+            "gfd b { pattern { node x: t } then { x.v = 1 } }\n\
+             gfd a { pattern { node x: t } when { x.v = 1 } then { x.w = 2 } }\n",
+            &mut vocab,
+        )
+        .unwrap();
+        let gfds = doc.deps.to_gfds().expect("literal-only file");
+        let gfd_names: Vec<String> = gfds.iter().map(|(_, g)| g.name.clone()).collect();
+        assert_eq!(dep_rule_names(&doc.deps), gfd_names);
+        assert_eq!(gfd_names, ["b", "a"]);
+    }
 }

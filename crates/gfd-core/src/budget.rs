@@ -6,8 +6,9 @@
 //! `SeqSat`/`SeqImp`/detection had nothing. [`Budget`] is the one struct
 //! threaded through all of them: a wall-clock deadline and a max-units
 //! cap enforced cooperatively by the scheduler at unit boundaries
-//! (`gfd_runtime::SchedOptions`), plus the driver-specific branch and
-//! fresh-node caps, interpreted by the drivers that have those notions.
+//! (`gfd_runtime::SchedOptions`). The driver-specific caps live on the
+//! driver's own config (`GedReasonConfig::max_branches`,
+//! `ChaseConfig::max_generated_nodes`).
 //!
 //! Exhausting any limit **degrades, never panics**: a run that cannot
 //! finish reports [`Interrupt`] through its driver's unknown/partial arm
@@ -27,11 +28,6 @@ pub struct Budget {
     pub deadline: Option<Instant>,
     /// Maximum scheduler work units to execute.
     pub max_units: Option<u64>,
-    /// Maximum search branches (branch-and-bound drivers: the GED
-    /// small-model search).
-    pub max_branches: Option<u64>,
-    /// Maximum fresh nodes materialized (generating chase).
-    pub max_fresh_nodes: Option<u64>,
 }
 
 impl Budget {
@@ -60,18 +56,6 @@ impl Budget {
     /// Cap the scheduler work units executed.
     pub fn with_max_units(mut self, max: u64) -> Self {
         self.max_units = Some(max);
-        self
-    }
-
-    /// Cap the branches explored by branch-and-bound drivers.
-    pub fn with_max_branches(mut self, max: u64) -> Self {
-        self.max_branches = Some(max);
-        self
-    }
-
-    /// Cap the fresh nodes the generating chase may materialize.
-    pub fn with_max_fresh_nodes(mut self, max: u64) -> Self {
-        self.max_fresh_nodes = Some(max);
         self
     }
 
@@ -119,8 +103,6 @@ pub enum Interrupt {
     Units,
     /// The branch budget was consumed (branch-and-bound drivers).
     Branches,
-    /// The fresh-node budget was consumed (generating chase).
-    FreshNodes,
     /// A unit panicked and the run was cancelled; the string is the
     /// structured abort description ([`AbortInfo`]).
     Aborted(String),
@@ -150,7 +132,6 @@ impl std::fmt::Display for Interrupt {
             Interrupt::Deadline => write!(f, "deadline expired"),
             Interrupt::Units => write!(f, "unit budget exhausted"),
             Interrupt::Branches => write!(f, "branch budget exhausted"),
-            Interrupt::FreshNodes => write!(f, "fresh-node budget exhausted"),
             Interrupt::Aborted(info) => write!(f, "run aborted: {info}"),
         }
     }
@@ -175,13 +156,9 @@ mod tests {
     fn builders_set_each_axis() {
         let b = Budget::unlimited()
             .with_deadline_ms(10_000)
-            .with_max_units(5)
-            .with_max_branches(7)
-            .with_max_fresh_nodes(9);
+            .with_max_units(5);
         assert!(!b.is_unlimited());
         assert_eq!(b.max_units, Some(5));
-        assert_eq!(b.max_branches, Some(7));
-        assert_eq!(b.max_fresh_nodes, Some(9));
         assert!(!b.expired());
         let slack = b.deadline_slack_ms().unwrap();
         assert!(slack > 8_000 && slack <= 10_000, "{slack}");

@@ -90,8 +90,8 @@ pub enum TerminalEvent {
 
 /// Tuning knobs of the unified driver (§V-B, §VI-C).
 ///
-/// Sequential runs are `workers = 1`; `gfd-parallel` re-exports this type
-/// as `ParConfig`.
+/// The one run configuration of Sat and Imp: sequential runs are
+/// `workers = 1`, parallel runs `workers = p`.
 #[derive(Clone, Debug)]
 pub struct ReasonConfig {
     /// Number of workers `p`. `1` runs inline on the calling thread.
@@ -144,6 +144,16 @@ impl ReasonConfig {
     pub fn with_workers(workers: usize) -> Self {
         ReasonConfig {
             workers,
+            ..Self::default()
+        }
+    }
+
+    /// The sequential configuration behind `seq_sat`/`seq_imp`: one
+    /// worker, no straggler splitting, every other knob at its default.
+    pub fn sequential() -> Self {
+        ReasonConfig {
+            workers: 1,
+            split: false,
             ..Self::default()
         }
     }

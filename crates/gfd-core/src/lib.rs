@@ -12,10 +12,11 @@
 //!   watcher-based pending rechecks and replayable deltas ([`eq`]);
 //! * the enforcement engine shared by every algorithm ([`enforce`]);
 //! * the unified reasoning driver ([`driver`]) — the one goal-parameterized
-//!   fixpoint loop, run on the `gfd-runtime` work-stealing scheduler, behind
-//!   **SeqSat** ([`seq_sat()`]), **SeqImp** ([`seq_imp()`]) *and* the parallel
-//!   `ParSat`/`ParImp` of `gfd-parallel` (which instantiate it with
-//!   `workers > 1`);
+//!   fixpoint loop, run on the `gfd-runtime` work-stealing scheduler. Each
+//!   goal has one entry point taking a [`ReasonConfig`]:
+//!   [`sat_with_config()`] and [`imp_with_config()`] are **SeqSat**/**SeqImp**
+//!   at `workers = 1` and **ParSat**/**ParImp** above it; [`seq_sat()`] and
+//!   [`seq_imp()`] are their one-argument sequential defaults;
 //! * pivoted work units and their dependency-graph ordering ([`mod@unit`]);
 //! * model extraction ([`model`]) and dependency ordering ([`ordering`]).
 
@@ -53,11 +54,9 @@ pub use literal::{Literal, Operand};
 pub use model::extract_model;
 pub use ordering::order_gfds;
 pub use seq_imp::{
-    ggd_imp_with_config, imp_with_config, seq_imp, seq_imp_with, ImpOutcome, ImpResult, ImpliedVia,
+    ggd_imp_with_config, imp_with_config, seq_imp, ImpOutcome, ImpResult, ImpliedVia,
 };
-pub use seq_sat::{
-    sat_with_config, seq_sat, seq_sat_with, ReasonOptions, ReasonStats, SatOutcome, SatResult,
-};
+pub use seq_sat::{sat_with_config, seq_sat, SatOutcome, SatResult};
 pub use sigma::GfdSet;
 pub use unit::{generate_units, order_units, WorkUnit};
 pub use validate::{find_violations, graph_satisfies, graph_satisfies_all, Violation};

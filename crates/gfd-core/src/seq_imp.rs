@@ -13,9 +13,9 @@ use crate::driver::{run_reason, Goal, ReasonConfig, TerminalEvent};
 use crate::eq::EqRel;
 use crate::error::Conflict;
 use crate::gfd::Gfd;
-use crate::seq_sat::{ReasonOptions, ReasonStats};
 use crate::sigma::GfdSet;
 use gfd_graph::NodeId;
+use gfd_runtime::RunMetrics;
 
 /// Why `Σ |= ϕ` holds.
 #[derive(Clone, Debug)]
@@ -48,7 +48,7 @@ pub struct ImpResult {
     /// Implied (with the reason) or not.
     pub outcome: ImpOutcome,
     /// Counters.
-    pub stats: ReasonStats,
+    pub stats: RunMetrics,
 }
 
 impl ImpResult {
@@ -71,9 +71,10 @@ impl ImpResult {
     }
 }
 
-/// Check `Σ |= ϕ` with default options.
+/// Check `Σ |= ϕ` sequentially: [`imp_with_config`] with one worker and
+/// no straggler splitting.
 pub fn seq_imp(sigma: &GfdSet, phi: &Gfd) -> ImpResult {
-    seq_imp_with(sigma, phi, &ReasonOptions::default())
+    imp_with_config(sigma, phi, &ReasonConfig::sequential())
 }
 
 /// The trivial short-circuits shared by the sequential and parallel
@@ -101,15 +102,8 @@ fn imp_shortcuts(sigma: &GfdSet, phi: &Gfd) -> Result<(CanonicalGraph, EqRel), I
     Ok((canon, eqx))
 }
 
-/// Check `Σ |= ϕ` sequentially: the `workers = 1` instantiation of the
-/// unified driver.
-pub fn seq_imp_with(sigma: &GfdSet, phi: &Gfd, opts: &ReasonOptions) -> ImpResult {
-    imp_with_config(sigma, phi, &opts.sequential_config())
-}
-
-/// Check `Σ |= ϕ` under a full driver configuration. This is the shared
-/// entry point behind both `SeqImp` (`cfg.workers == 1`) and `ParImp`
-/// (`gfd_parallel::par_imp`).
+/// Check `Σ |= ϕ` under a full driver configuration: `SeqImp` at
+/// `cfg.workers == 1`, `ParImp` above it.
 ///
 /// Relative to satisfiability the driver differs in two ways (§VI-C):
 /// units whose premise is subsumed by `X` get the highest priority, and
@@ -125,7 +119,7 @@ pub fn imp_with_config(sigma: &GfdSet, phi: &Gfd, cfg: &ReasonConfig) -> ImpResu
         Err(outcome) => {
             return ImpResult {
                 outcome,
-                stats: ReasonStats {
+                stats: RunMetrics {
                     workers: cfg.workers.max(1),
                     elapsed: start.elapsed(),
                     ..Default::default()
@@ -164,7 +158,7 @@ pub fn ggd_imp_with_config(sigma: &GfdSet, phi: &Dependency, cfg: &ReasonConfig)
     let start = std::time::Instant::now();
     let trivial = |outcome: ImpOutcome| ImpResult {
         outcome,
-        stats: ReasonStats {
+        stats: RunMetrics {
             workers: cfg.workers.max(1),
             elapsed: start.elapsed(),
             ..Default::default()
@@ -335,12 +329,86 @@ mod tests {
     #[test]
     fn example8_results_stable_without_ordering() {
         let ex = example8();
-        let opts = ReasonOptions {
+        let cfg = ReasonConfig {
             use_dependency_order: false,
             prune_components: false,
+            ..ReasonConfig::sequential()
         };
-        assert!(seq_imp_with(&ex.sigma, &ex.phi13, &opts).is_implied());
-        assert!(seq_imp_with(&ex.sigma, &ex.phi14, &opts).is_implied());
+        assert!(imp_with_config(&ex.sigma, &ex.phi13, &cfg).is_implied());
+        assert!(imp_with_config(&ex.sigma, &ex.phi14, &cfg).is_implied());
+    }
+
+    #[test]
+    fn example8_matches_sequential_across_worker_counts() {
+        let ex = example8();
+        assert!(seq_imp(&ex.sigma, &ex.phi13).is_implied());
+        assert!(seq_imp(&ex.sigma, &ex.phi14).is_implied());
+        for p in [1, 2, 4] {
+            let cfg = ReasonConfig::with_workers(p);
+            let r13 = imp_with_config(&ex.sigma, &ex.phi13, &cfg);
+            assert!(r13.is_implied(), "phi13 p={p}: {:?}", r13.outcome);
+            let r14 = imp_with_config(&ex.sigma, &ex.phi14, &cfg);
+            assert!(r14.is_implied(), "phi14 p={p}: {:?}", r14.outcome);
+        }
+    }
+
+    #[test]
+    fn not_implied_matches_sequential() {
+        let ex = example8();
+        // Without phi12, phi13 no longer follows.
+        let smaller = GfdSet::from_vec(vec![ex.sigma.as_slice()[0].clone()]);
+        assert!(!seq_imp(&smaller, &ex.phi13).is_implied());
+        for p in [1, 3] {
+            let r = imp_with_config(&smaller, &ex.phi13, &ReasonConfig::with_workers(p));
+            assert!(!r.is_implied(), "p={p}");
+        }
+    }
+
+    #[test]
+    fn ablation_variants_agree() {
+        let ex = example8();
+        let base = ReasonConfig::with_workers(2);
+        for phi in [&ex.phi13, &ex.phi14] {
+            for cfg in [
+                base.clone(),
+                base.clone().without_pipeline(),
+                base.clone().without_split(),
+                base.clone()
+                    .with_dispatch(gfd_runtime::DispatchMode::Coordinator),
+            ] {
+                assert!(
+                    imp_with_config(&ex.sigma, phi, &cfg).is_implied(),
+                    "{cfg:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn trivial_cases_short_circuit() {
+        let ex = example8();
+        let mut vocab = ex.vocab;
+        let mut q = Pattern::new();
+        let x = q.add_node(vocab.label("a"), "x");
+        let a = vocab.attr("A");
+        let cfg = ReasonConfig::with_workers(2);
+        // Empty consequence: decided before any unit is dispatched.
+        let trivial = Gfd::new("t", q.clone(), vec![], vec![]);
+        let r = imp_with_config(&ex.sigma, &trivial, &cfg);
+        assert!(r.is_implied());
+        assert_eq!(r.stats.units_dispatched, 0);
+        // Inconsistent premise.
+        let inconsistent = Gfd::new(
+            "i",
+            q,
+            vec![Literal::eq_const(x, a, 1i64), Literal::eq_const(x, a, 2i64)],
+            vec![Literal::eq_const(x, a, 3i64)],
+        );
+        let r = imp_with_config(&ex.sigma, &inconsistent, &cfg);
+        assert!(matches!(
+            r.outcome,
+            ImpOutcome::Implied(ImpliedVia::PremiseInconsistent)
+        ));
     }
 
     #[test]

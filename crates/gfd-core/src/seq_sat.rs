@@ -20,46 +20,6 @@ use crate::model::extract_model;
 use crate::sigma::GfdSet;
 use gfd_runtime::RunMetrics;
 
-/// Tuning knobs shared by the sequential algorithms (a subset of the full
-/// [`ReasonConfig`]; the TTL/pipelining/splitting knobs only matter with
-/// more than one worker).
-#[derive(Clone, Debug)]
-pub struct ReasonOptions {
-    /// Process work units in dependency-graph topological order (paper
-    /// default). With `false`, input order is used — the ablation baseline.
-    pub use_dependency_order: bool,
-    /// Skip (pattern, component) pairs whose label profiles cannot host a
-    /// match (the paper's "pruning to eliminate irrelevant matches early").
-    pub prune_components: bool,
-}
-
-impl Default for ReasonOptions {
-    fn default() -> Self {
-        ReasonOptions {
-            use_dependency_order: true,
-            prune_components: true,
-        }
-    }
-}
-
-impl ReasonOptions {
-    /// The single-worker driver configuration these options denote.
-    pub(crate) fn sequential_config(&self) -> ReasonConfig {
-        ReasonConfig {
-            workers: 1,
-            split: false,
-            use_dependency_order: self.use_dependency_order,
-            prune_components: self.prune_components,
-            ..ReasonConfig::default()
-        }
-    }
-}
-
-/// Counters reported by the reasoning algorithms — the unified
-/// [`RunMetrics`] (sequential runs populate the same counters with one
-/// worker).
-pub type ReasonStats = RunMetrics;
-
 /// The outcome of satisfiability checking.
 #[derive(Clone, Debug)]
 pub enum SatOutcome {
@@ -80,7 +40,7 @@ pub struct SatResult {
     /// Satisfiable (with model) or the witnessing conflict.
     pub outcome: SatOutcome,
     /// Counters.
-    pub stats: ReasonStats,
+    pub stats: RunMetrics,
 }
 
 impl SatResult {
@@ -111,20 +71,14 @@ impl SatResult {
     }
 }
 
-/// Check satisfiability of Σ with default options.
+/// Check satisfiability of Σ sequentially: [`sat_with_config`] with one
+/// worker and no straggler splitting.
 pub fn seq_sat(sigma: &GfdSet) -> SatResult {
-    seq_sat_with(sigma, &ReasonOptions::default())
+    sat_with_config(sigma, &ReasonConfig::sequential())
 }
 
-/// Check satisfiability of Σ sequentially: the `workers = 1`
-/// instantiation of the unified driver.
-pub fn seq_sat_with(sigma: &GfdSet, opts: &ReasonOptions) -> SatResult {
-    sat_with_config(sigma, &opts.sequential_config())
-}
-
-/// Check satisfiability of Σ under a full driver configuration. This is
-/// the shared entry point behind both `SeqSat` (`cfg.workers == 1`) and
-/// `ParSat` (`gfd_parallel::par_sat`).
+/// Check satisfiability of Σ under a full driver configuration: `SeqSat`
+/// at `cfg.workers == 1`, `ParSat` above it.
 pub fn sat_with_config(sigma: &GfdSet, cfg: &ReasonConfig) -> SatResult {
     if sigma.is_empty() {
         // Vacuously satisfiable; the empty population works.
@@ -305,22 +259,14 @@ mod tests {
         let r = seq_sat(&sigma);
         assert!(!r.is_satisfiable());
         // Regardless of ordering options (Church–Rosser).
-        let r2 = seq_sat_with(
-            &sigma,
-            &ReasonOptions {
+        for prune_components in [true, false] {
+            let cfg = ReasonConfig {
                 use_dependency_order: false,
-                prune_components: true,
-            },
-        );
-        assert!(!r2.is_satisfiable());
-        let r3 = seq_sat_with(
-            &sigma,
-            &ReasonOptions {
-                use_dependency_order: false,
-                prune_components: false,
-            },
-        );
-        assert!(!r3.is_satisfiable());
+                prune_components,
+                ..ReasonConfig::sequential()
+            };
+            assert!(!sat_with_config(&sigma, &cfg).is_satisfiable());
+        }
     }
 
     #[test]
@@ -386,7 +332,108 @@ mod tests {
 
     #[test]
     fn empty_sigma_is_satisfiable() {
-        let r = seq_sat(&GfdSet::new());
-        assert!(r.is_satisfiable());
+        assert!(seq_sat(&GfdSet::new()).is_satisfiable());
+        for p in [1, 2] {
+            let r = sat_with_config(&GfdSet::new(), &ReasonConfig::with_workers(p));
+            assert!(r.is_satisfiable(), "p={p}");
+        }
+    }
+
+    fn wildcard_unary(name: &str, lits: Vec<Literal>, premise: Vec<Literal>) -> Gfd {
+        let mut p = Pattern::new();
+        p.add_node(LabelId::WILDCARD, "x");
+        Gfd::new(name, p, premise, lits)
+    }
+
+    #[test]
+    fn agrees_with_seq_sat_on_unsat_wildcard_conflict() {
+        let mut vocab = Vocab::new();
+        let a = vocab.attr("A");
+        let x = VarId::new(0);
+        let sigma = GfdSet::from_vec(vec![
+            wildcard_unary("phi5", vec![Literal::eq_const(x, a, 0i64)], vec![]),
+            wildcard_unary("phi6", vec![Literal::eq_const(x, a, 1i64)], vec![]),
+        ]);
+        assert!(!seq_sat(&sigma).is_satisfiable());
+        for p in [1, 2, 4] {
+            let r = sat_with_config(&sigma, &ReasonConfig::with_workers(p));
+            assert!(!r.is_satisfiable(), "p={p}");
+            assert!(r.stats.early_terminated);
+        }
+    }
+
+    #[test]
+    fn agrees_with_seq_sat_on_satisfiable_set() {
+        let mut vocab = Vocab::new();
+        let t = vocab.label("t");
+        let e = vocab.label("e");
+        let a = vocab.attr("a");
+        let b = vocab.attr("b");
+        let mut gfds = Vec::new();
+        for i in 0..6 {
+            let mut p = Pattern::new();
+            let x = p.add_node(t, "x");
+            let y = p.add_node(t, "y");
+            p.add_edge(x, e, y);
+            gfds.push(Gfd::new(
+                format!("g{i}"),
+                p,
+                if i % 2 == 0 {
+                    vec![]
+                } else {
+                    vec![Literal::eq_const(x, a, 1i64)]
+                },
+                vec![Literal::eq_const(x, a, 1i64), Literal::eq_attr(x, b, y, b)],
+            ));
+        }
+        let sigma = GfdSet::from_vec(gfds);
+        assert!(seq_sat(&sigma).is_satisfiable());
+        for p in [1, 2, 4, 8] {
+            let r = sat_with_config(&sigma, &ReasonConfig::with_workers(p));
+            let model = r
+                .model()
+                .unwrap_or_else(|| panic!("p={p}: {:?}", r.outcome));
+            assert!(graph_satisfies_all(model, &sigma), "p={p}");
+        }
+    }
+
+    #[test]
+    fn variants_agree() {
+        let mut vocab = Vocab::new();
+        let a = vocab.attr("A");
+        let b = vocab.attr("B");
+        let x = VarId::new(0);
+        // Chain: seed a=1; a=1 → b=1; b=1 ∧ a=1 → conflict on a.
+        let sigma = GfdSet::from_vec(vec![
+            wildcard_unary("seed", vec![Literal::eq_const(x, a, 1i64)], vec![]),
+            wildcard_unary(
+                "prop",
+                vec![Literal::eq_const(x, b, 1i64)],
+                vec![Literal::eq_const(x, a, 1i64)],
+            ),
+            wildcard_unary(
+                "deny",
+                vec![Literal::eq_const(x, a, 2i64)],
+                vec![Literal::eq_const(x, b, 1i64)],
+            ),
+        ]);
+        let expect = seq_sat(&sigma).is_satisfiable();
+        let base = ReasonConfig::with_workers(3);
+        for cfg in [
+            base.clone(),
+            base.clone().without_pipeline(),
+            base.clone().without_split(),
+            ReasonConfig {
+                use_dependency_order: false,
+                ..base.clone()
+            },
+            base.with_dispatch(gfd_runtime::DispatchMode::Coordinator),
+        ] {
+            assert_eq!(
+                sat_with_config(&sigma, &cfg).is_satisfiable(),
+                expect,
+                "{cfg:?}"
+            );
+        }
     }
 }

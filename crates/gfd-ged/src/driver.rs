@@ -70,9 +70,9 @@ pub struct GedReasonConfig {
     /// `outcome: None` rather than looping. Shared across all workers.
     pub max_branches: usize,
     /// Unified resource budget (DESIGN.md §11.2): wall-clock deadline and
-    /// scheduler unit cap, checked cooperatively at branch boundaries, plus
-    /// an optional branch cap that tightens `max_branches`. Exhaustion
-    /// degrades to `outcome: None` with the [`Interrupt`] reason attached.
+    /// scheduler unit cap, checked cooperatively at branch boundaries.
+    /// Exhaustion degrades to `outcome: None` with the [`Interrupt`]
+    /// reason attached.
     pub budget: Budget,
     /// Structured tracing (DESIGN.md §13): per-unit `GedBranch` spans
     /// counting the branches each scheduled subtree explored, plus the
@@ -125,17 +125,6 @@ impl GedReasonConfig {
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
         self
-    }
-
-    /// The effective branch cap: the legacy `max_branches` knob tightened
-    /// by the budget's branch axis, whichever is smaller.
-    fn effective_max_branches(&self) -> usize {
-        match self.budget.max_branches {
-            Some(b) => self
-                .max_branches
-                .min(usize::try_from(b).unwrap_or(usize::MAX)),
-            None => self.max_branches,
-        }
     }
 }
 
@@ -197,8 +186,6 @@ struct GedTask<'a> {
     stop: &'a AtomicBool,
     /// Branches explored across all workers (the budget counter).
     branches: AtomicUsize,
-    /// The effective branch cap ([`GedReasonConfig::effective_max_branches`]).
-    max_branches: usize,
     budget_exceeded: AtomicBool,
     deadline_exceeded: AtomicBool,
     /// Satisfiability: the first quiescent store (first writer wins).
@@ -354,7 +341,7 @@ impl GedTask<'_> {
                 self.stop.store(true, Ordering::Relaxed);
                 return;
             }
-            if self.branches.fetch_add(1, Ordering::Relaxed) >= self.max_branches {
+            if self.branches.fetch_add(1, Ordering::Relaxed) >= self.cfg.max_branches {
                 self.budget_exceeded.store(true, Ordering::Relaxed);
                 self.stop.store(true, Ordering::Relaxed);
                 return;
@@ -408,7 +395,6 @@ fn run_ged(
         cfg,
         stop: &stop,
         branches: AtomicUsize::new(0),
-        max_branches: cfg.effective_max_branches(),
         budget_exceeded: AtomicBool::new(false),
         deadline_exceeded: AtomicBool::new(false),
         witness: Mutex::new(None),
@@ -622,6 +608,7 @@ mod tests {
             let cfg = GedReasonConfig::with_workers(p).with_max_branches(2);
             let run = ged_sat_with_config(&sigma, &cfg);
             assert!(run.outcome.is_none(), "p={p}: budget should be unknown");
+            assert_eq!(run.interrupt, Some(Interrupt::Branches), "p={p}");
             assert!(run.metrics.early_terminated);
         }
     }
@@ -639,17 +626,6 @@ mod tests {
             assert_eq!(run.interrupt, Some(Interrupt::Deadline), "p={p}");
             assert!(run.metrics.deadline_slack_ms.unwrap() < 0);
         }
-    }
-
-    #[test]
-    fn budget_branch_axis_tightens_the_legacy_knob() {
-        let mut vocab = Vocab::new();
-        let sigma = unsat_disjunctive(&mut vocab, 2);
-        let cfg =
-            GedReasonConfig::with_workers(1).with_budget(Budget::unlimited().with_max_branches(2));
-        let run = ged_sat_with_config(&sigma, &cfg);
-        assert!(run.outcome.is_none());
-        assert_eq!(run.interrupt, Some(Interrupt::Branches));
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! A deliberately simple brute-force matcher used as a correctness oracle in
 //! tests and property-based checks.
 //!
-//! It enumerates every assignment of pattern variables to graph nodes and
-//! keeps those satisfying all label and edge constraints. Exponential, but
+//! It assigns pattern variables to graph nodes in variable order, trying
+//! every node for each variable, and backtracks as soon as a label or an
+//! edge constraint fails: a node must carry its variable's label, and each
+//! pattern edge is checked once both of its endpoints are assigned. It reads
+//! only the builder [`Graph`]'s adjacency lists, so it shares no code with
+//! `MatchPlan`, `HomSearch` or the CSR it is checking. Exponential, but
 //! obviously correct — do not use outside tests/benchmarks.
 
 use crate::search::Match;
-use gfd_graph::{Graph, NodeId, Pattern};
+use gfd_graph::{Graph, NodeId, Pattern, VarId};
 
 /// Enumerate all homomorphic matches of `pattern` in `graph` by exhaustive
 /// search. Matches are var-indexed like [`crate::search::Match`].
@@ -29,35 +33,35 @@ fn assign(
     out: &mut Vec<Match>,
 ) {
     if var == assignment.len() {
-        if is_valid(graph, pattern, assignment) {
-            out.push(assignment.to_vec().into_boxed_slice());
-        }
+        out.push(assignment.to_vec().into_boxed_slice());
         return;
     }
+    let label = pattern.label(VarId::new(var));
     for node in graph.nodes() {
+        if !label.pattern_matches(graph.label(node)) {
+            continue;
+        }
         assignment[var] = node;
-        assign(graph, pattern, var + 1, assignment, out);
+        if closed_edges_hold(graph, pattern, var, assignment) {
+            assign(graph, pattern, var + 1, assignment, out);
+        }
     }
 }
 
-/// Check every constraint of the pattern against a full assignment.
-pub fn is_valid(graph: &Graph, pattern: &Pattern, assignment: &[NodeId]) -> bool {
-    for v in pattern.vars() {
-        if !pattern
-            .label(v)
-            .pattern_matches(graph.label(assignment[v.index()]))
-        {
-            return false;
-        }
-    }
-    for e in pattern.edges() {
-        let src = assignment[e.src.index()];
-        let dst = assignment[e.dst.index()];
-        if !graph.has_edge_pattern(src, e.label, dst) {
-            return false;
-        }
-    }
-    true
+/// Do the pattern edges whose later endpoint is `var` hold under the
+/// assignment of variables `0..=var`?
+fn closed_edges_hold(graph: &Graph, pattern: &Pattern, var: usize, assignment: &[NodeId]) -> bool {
+    pattern
+        .edges()
+        .iter()
+        .filter(|e| e.src.index().max(e.dst.index()) == var)
+        .all(|e| {
+            graph.has_edge_pattern(
+                assignment[e.src.index()],
+                e.label,
+                assignment[e.dst.index()],
+            )
+        })
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! The unified run metrics reported by every scheduler workload.
 //!
-//! One type serves all three reasoning layers (it replaced the former
-//! `ReasonStats` / `WorkerStats` / ad-hoc detection atomics): sequential
-//! runs populate the same counters as parallel ones, just with one worker.
+//! One type serves all three reasoning layers (it replaced per-layer
+//! stats structs and ad-hoc detection atomics): sequential runs populate
+//! the same counters as parallel ones, just with one worker.
 
 use gfd_trace::Trace;
 use std::time::Duration;

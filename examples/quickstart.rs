@@ -60,12 +60,12 @@ fn main() {
     );
 
     // The parallel algorithm agrees and reports its run metrics.
-    let par = gfd::par_sat(&sigma, &ParConfig::with_workers(4));
+    let par = gfd::sat_with_config(&sigma, &ReasonConfig::with_workers(4));
     println!(
         "ParSat(p=4): satisfiable = {}, units = {}, matches = {}",
         par.is_satisfiable(),
-        par.metrics.units_generated,
-        par.metrics.matches,
+        par.stats.units_generated,
+        par.stats.matches,
     );
 
     // ── 3. Implication ─────────────────────────────────────────────────
@@ -90,7 +90,7 @@ fn main() {
     .expect("probe parses");
     let imp = gfd::seq_imp(&sigma, &phi);
     println!("\nSeqImp: Σ |= {} ? {}", phi.name, imp.is_implied());
-    let par = gfd::par_imp(&sigma, &phi, &ParConfig::with_workers(4));
+    let par = gfd::imp_with_config(&sigma, &phi, &ReasonConfig::with_workers(4));
     println!(
         "ParImp(p=4): agrees = {}",
         par.is_implied() == imp.is_implied()

@@ -77,7 +77,7 @@ proptest! {
         let seq = gfd::seq_sat(&sigma);
         let chase = gfd::chase_sat(&sigma);
         prop_assert_eq!(seq.is_satisfiable(), chase.is_satisfiable());
-        let par = gfd::par_sat(&sigma, &ParConfig::with_workers(2));
+        let par = gfd::sat_with_config(&sigma, &ReasonConfig::with_workers(2));
         prop_assert_eq!(seq.is_satisfiable(), par.is_satisfiable());
         if let Some(model) = seq.model() {
             prop_assert!(gfd::graph_satisfies_all(model, &sigma),
@@ -96,7 +96,7 @@ proptest! {
         let chase = gfd::chase_imp(&sigma, &phi);
         prop_assert_eq!(seq.is_implied(), chase.is_implied(),
             "seq {:?} vs chase {:?}", seq.outcome, chase.outcome);
-        let par = gfd::par_imp(&sigma, &phi, &ParConfig::with_workers(2));
+        let par = gfd::imp_with_config(&sigma, &phi, &ReasonConfig::with_workers(2));
         prop_assert_eq!(seq.is_implied(), par.is_implied(),
             "seq {:?} vs par {:?}", seq.outcome, par.outcome);
     }
@@ -104,16 +104,16 @@ proptest! {
     /// Ordering and pruning options never change answers (Church–Rosser).
     #[test]
     fn options_do_not_change_answers(sigma in arb_sigma(), phi in arb_gfd(2)) {
-        use gfd::core::{seq_sat_with, seq_imp_with, ReasonOptions};
         let baseline_sat = gfd::seq_sat(&sigma).is_satisfiable();
         let baseline_imp = gfd::seq_imp(&sigma, &phi).is_implied();
         for (dep, prune) in [(false, false), (false, true), (true, false)] {
-            let opts = ReasonOptions {
+            let cfg = ReasonConfig {
                 use_dependency_order: dep,
                 prune_components: prune,
+                ..ReasonConfig::sequential()
             };
-            prop_assert_eq!(seq_sat_with(&sigma, &opts).is_satisfiable(), baseline_sat);
-            prop_assert_eq!(seq_imp_with(&sigma, &phi, &opts).is_implied(), baseline_imp);
+            prop_assert_eq!(gfd::sat_with_config(&sigma, &cfg).is_satisfiable(), baseline_sat);
+            prop_assert_eq!(gfd::imp_with_config(&sigma, &phi, &cfg).is_implied(), baseline_imp);
         }
     }
 
@@ -141,14 +141,17 @@ fn generated_workload_equivalence() {
         let seq = gfd::seq_sat(&w.sigma);
         assert!(seq.is_satisfiable());
         for p in [1, 3] {
-            assert!(gfd::par_sat(&w.sigma, &ParConfig::with_workers(p)).is_satisfiable());
+            assert!(
+                gfd::sat_with_config(&w.sigma, &ReasonConfig::with_workers(p)).is_satisfiable()
+            );
         }
         for probe in &w.probes {
             let expected = probe.expect_implied;
             assert_eq!(gfd::seq_imp(&w.sigma, &probe.phi).is_implied(), expected);
             assert_eq!(gfd::chase_imp(&w.sigma, &probe.phi).is_implied(), expected);
             assert_eq!(
-                gfd::par_imp(&w.sigma, &probe.phi, &ParConfig::with_workers(2)).is_implied(),
+                gfd::imp_with_config(&w.sigma, &probe.phi, &ReasonConfig::with_workers(2))
+                    .is_implied(),
                 expected
             );
         }

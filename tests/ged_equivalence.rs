@@ -12,8 +12,8 @@
 
 use gfd::ged::driver::{ged_implies_with_config, ged_sat_with_config, GedReasonConfig};
 use gfd::ged::{ged_implies, ged_sat, CmpOp, Ged, GedLiteral, GedSet};
-use gfd::parallel::DispatchMode;
 use gfd::prelude::*;
+use gfd::runtime::DispatchMode;
 use std::time::Duration;
 
 fn lift(sigma: &GfdSet) -> GedSet {

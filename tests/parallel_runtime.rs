@@ -1,8 +1,8 @@
 //! Stress and behaviour tests of the parallel runtime: splitting,
 //! stealing, early termination, metrics, and worker-count invariance.
 
-use gfd::parallel::DispatchMode;
 use gfd::prelude::*;
+use gfd::runtime::DispatchMode;
 use std::time::Duration;
 
 /// A workload whose matching is deliberately heavy: wildcard star
@@ -54,27 +54,27 @@ fn tiny_ttl_forces_splits_without_changing_answers() {
     let sigma = heavy_sigma(&mut vocab);
     let seq = gfd::seq_sat(&sigma);
 
-    let cfg = ParConfig::with_workers(3).with_ttl(Duration::ZERO);
-    let r = gfd::par_sat(&sigma, &cfg);
+    let cfg = ReasonConfig::with_workers(3).with_ttl(Duration::ZERO);
+    let r = gfd::sat_with_config(&sigma, &cfg);
     assert_eq!(r.is_satisfiable(), seq.is_satisfiable());
     assert!(
-        r.metrics.units_split > 0,
+        r.stats.units_split > 0,
         "TTL=0 on a heavy workload must split: {:?}",
-        r.metrics
+        r.stats
     );
     // Split units were dispatched too.
-    assert!(r.metrics.units_dispatched >= r.metrics.units_generated as u64);
+    assert!(r.stats.units_dispatched >= r.stats.units_generated as u64);
 }
 
 #[test]
 fn no_split_mode_never_splits() {
     let mut vocab = Vocab::new();
     let sigma = heavy_sigma(&mut vocab);
-    let cfg = ParConfig::with_workers(3)
+    let cfg = ReasonConfig::with_workers(3)
         .with_ttl(Duration::ZERO)
         .without_split();
-    let r = gfd::par_sat(&sigma, &cfg);
-    assert_eq!(r.metrics.units_split, 0);
+    let r = gfd::sat_with_config(&sigma, &cfg);
+    assert_eq!(r.stats.units_split, 0);
     assert!(r.is_satisfiable());
 }
 
@@ -82,15 +82,15 @@ fn no_split_mode_never_splits() {
 fn all_units_are_processed_exactly_once_on_quiescent_runs() {
     let mut vocab = Vocab::new();
     let sigma = heavy_sigma(&mut vocab);
-    let cfg = ParConfig::with_workers(4);
-    let r = gfd::par_sat(&sigma, &cfg);
-    assert!(!r.metrics.early_terminated);
+    let cfg = ReasonConfig::with_workers(4);
+    let r = gfd::sat_with_config(&sigma, &cfg);
+    assert!(!r.stats.early_terminated);
     assert_eq!(
-        r.metrics.units_dispatched,
-        r.metrics.units_generated as u64 + r.metrics.units_split
+        r.stats.units_dispatched,
+        r.stats.units_generated as u64 + r.stats.units_split
     );
     // Per-worker stats were collected on the drain path.
-    assert_eq!(r.metrics.worker_busy.len(), 4);
+    assert_eq!(r.stats.worker_busy.len(), 4);
 }
 
 #[test]
@@ -99,9 +99,9 @@ fn match_counts_are_stable_across_worker_counts() {
     let sigma = heavy_sigma(&mut vocab);
     let mut counts = Vec::new();
     for p in [1, 2, 4] {
-        let r = gfd::par_sat(&sigma, &ParConfig::with_workers(p));
+        let r = gfd::sat_with_config(&sigma, &ReasonConfig::with_workers(p));
         assert!(r.is_satisfiable());
-        counts.push(r.metrics.matches);
+        counts.push(r.stats.matches);
     }
     assert_eq!(counts[0], counts[1]);
     assert_eq!(counts[1], counts[2]);
@@ -113,14 +113,14 @@ fn dispatch_modes_do_not_change_outcomes() {
     let sigma = heavy_sigma(&mut vocab);
     let expected = gfd::seq_sat(&sigma).is_satisfiable();
     for dispatch in [DispatchMode::WorkStealing, DispatchMode::Coordinator] {
-        let cfg = ParConfig {
+        let cfg = ReasonConfig {
             dispatch,
-            ..ParConfig::with_workers(3)
+            ..ReasonConfig::with_workers(3)
         };
-        let r = gfd::par_sat(&sigma, &cfg);
+        let r = gfd::sat_with_config(&sigma, &cfg);
         assert_eq!(r.is_satisfiable(), expected, "{dispatch:?}");
         if dispatch == DispatchMode::Coordinator {
-            assert_eq!(r.metrics.units_stolen, 0, "coordinator mode never steals");
+            assert_eq!(r.stats.units_stolen, 0, "coordinator mode never steals");
         }
     }
 }
@@ -130,10 +130,10 @@ fn early_termination_reports_quickly_on_conflicts() {
     // Large satisfiable base + a conflict pair: the run must terminate
     // early rather than process everything.
     let w = gfd::gen::real_life_workload(gfd::gen::Dataset::Yago2, 120, 5, Some(2));
-    let cfg = ParConfig::with_workers(4);
-    let r = gfd::par_sat(&w.sigma, &cfg);
+    let cfg = ReasonConfig::with_workers(4);
+    let r = gfd::sat_with_config(&w.sigma, &cfg);
     assert!(!r.is_satisfiable());
-    assert!(r.metrics.early_terminated);
+    assert!(r.stats.early_terminated);
 }
 
 #[test]
@@ -142,7 +142,7 @@ fn consequence_termination_for_implication() {
     let implied: Vec<_> = w.probes.iter().filter(|p| p.expect_implied).collect();
     assert!(!implied.is_empty());
     for probe in implied {
-        let r = gfd::par_imp(&w.sigma, &probe.phi, &ParConfig::with_workers(4));
+        let r = gfd::imp_with_config(&w.sigma, &probe.phi, &ReasonConfig::with_workers(4));
         assert!(r.is_implied());
     }
 }
@@ -158,7 +158,7 @@ fn many_workers_on_tiny_input_is_fine() {
     )
     .unwrap()
     .gfds;
-    let r = gfd::par_sat(&sigma, &ParConfig::with_workers(16));
+    let r = gfd::sat_with_config(&sigma, &ReasonConfig::with_workers(16));
     assert!(r.is_satisfiable());
 }
 
@@ -167,9 +167,9 @@ fn repeated_runs_are_deterministic_in_outcome() {
     let w = gfd::gen::real_life_workload(gfd::gen::Dataset::Tiny, 40, 9, None);
     let expected = gfd::seq_sat(&w.sigma).is_satisfiable();
     for run in 0..5 {
-        let r = gfd::par_sat(
+        let r = gfd::sat_with_config(
             &w.sigma,
-            &ParConfig::with_workers(3).with_ttl(Duration::from_micros(200)),
+            &ReasonConfig::with_workers(3).with_ttl(Duration::from_micros(200)),
         );
         assert_eq!(r.is_satisfiable(), expected, "run {run} diverged");
     }

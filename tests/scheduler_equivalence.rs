@@ -10,8 +10,8 @@
 //! never perturbs answers.
 
 use gfd::detect::{detect, DetectConfig};
-use gfd::parallel::{DispatchMode, TraceSpec};
 use gfd::prelude::*;
+use gfd::runtime::{DispatchMode, TraceSpec};
 use std::time::Duration;
 
 /// Worker counts to sweep: `GFD_EQ_WORKERS=n` pins a single count (the CI
@@ -36,8 +36,8 @@ fn trace_spec() -> TraceSpec {
 
 /// A config whose TTL of zero forces a split attempt on every unit that
 /// survives a single deadline poll.
-fn splitty(p: usize) -> ParConfig {
-    ParConfig::with_workers(p)
+fn splitty(p: usize) -> ReasonConfig {
+    ReasonConfig::with_workers(p)
         .with_ttl(Duration::ZERO)
         .with_trace(trace_spec())
 }
@@ -50,7 +50,7 @@ fn sat_agrees_with_sequential_under_forced_splitting() {
         for p in worker_counts() {
             for dispatch in [DispatchMode::WorkStealing, DispatchMode::Coordinator] {
                 let cfg = splitty(p).with_dispatch(dispatch);
-                let r = gfd::par_sat(&w.sigma, &cfg);
+                let r = gfd::sat_with_config(&w.sigma, &cfg);
                 assert_eq!(
                     r.is_satisfiable(),
                     expected,
@@ -67,7 +67,7 @@ fn sat_conflict_detection_is_worker_count_invariant() {
     let w = gfd::gen::real_life_workload(gfd::gen::Dataset::Yago2, 60, 5, Some(2));
     assert!(!gfd::seq_sat(&w.sigma).is_satisfiable());
     for p in worker_counts() {
-        let r = gfd::par_sat(&w.sigma, &splitty(p));
+        let r = gfd::sat_with_config(&w.sigma, &splitty(p));
         assert!(!r.is_satisfiable(), "p={p}");
     }
 }
@@ -82,7 +82,7 @@ fn imp_agrees_with_sequential_under_forced_splitting() {
         for p in worker_counts() {
             for dispatch in [DispatchMode::WorkStealing, DispatchMode::Coordinator] {
                 let cfg = splitty(p).with_dispatch(dispatch);
-                let r = gfd::par_imp(&w.sigma, &probe.phi, &cfg);
+                let r = gfd::imp_with_config(&w.sigma, &probe.phi, &cfg);
                 assert_eq!(r.is_implied(), expected, "imp diverged: p={p} {dispatch:?}");
             }
         }
@@ -175,14 +175,14 @@ fn steal_heavy_skewed_workload_balances_and_agrees() {
     // scheduling noise on loaded CI hosts.
     let mut stole = false;
     for _ in 0..5 {
-        let cfg = ParConfig::with_workers(2).without_split();
-        let r = gfd::par_sat(&sigma, &cfg);
+        let cfg = ReasonConfig::with_workers(2).without_split();
+        let r = gfd::sat_with_config(&sigma, &cfg);
         assert_eq!(r.is_satisfiable(), expected);
         assert_eq!(
-            r.metrics.units_dispatched, r.metrics.units_generated as u64,
+            r.stats.units_dispatched, r.stats.units_generated as u64,
             "no-split run must execute exactly the seeded units"
         );
-        if r.metrics.units_stolen > 0 {
+        if r.stats.units_stolen > 0 {
             stole = true;
             break;
         }
@@ -195,20 +195,20 @@ fn forced_splitting_splits_and_metrics_add_up() {
     let mut vocab = Vocab::new();
     let sigma = skewed_sigma(&mut vocab);
     for p in worker_counts() {
-        let r = gfd::par_sat(&sigma, &splitty(p));
+        let r = gfd::sat_with_config(&sigma, &splitty(p));
         assert!(r.is_satisfiable());
         assert!(
-            r.metrics.units_split > 0,
+            r.stats.units_split > 0,
             "TTL=0 must split the fat unit: p={p} {:?}",
-            r.metrics
+            r.stats
         );
         assert_eq!(
-            r.metrics.units_dispatched,
-            r.metrics.units_generated as u64 + r.metrics.units_split,
+            r.stats.units_dispatched,
+            r.stats.units_generated as u64 + r.stats.units_split,
             "p={p}"
         );
-        assert_eq!(r.metrics.worker_busy.len(), p);
-        assert_eq!(r.metrics.worker_idle.len(), p);
+        assert_eq!(r.stats.worker_busy.len(), p);
+        assert_eq!(r.stats.worker_idle.len(), p);
     }
 }
 
@@ -223,21 +223,21 @@ fn tracing_does_not_perturb_answers_or_unit_accounting() {
     let w = gfd::gen::synthetic_workload(40, 4, 3, 9);
     let expected = gfd::seq_sat(&w.sigma).is_satisfiable();
     for p in worker_counts() {
-        let base = ParConfig::with_workers(p).with_ttl(Duration::ZERO);
-        let off = gfd::par_sat(&w.sigma, &base.clone().with_trace(TraceSpec::disabled()));
-        let on = gfd::par_sat(&w.sigma, &base.with_trace(TraceSpec::enabled()));
+        let base = ReasonConfig::with_workers(p).with_ttl(Duration::ZERO);
+        let off = gfd::sat_with_config(&w.sigma, &base.clone().with_trace(TraceSpec::disabled()));
+        let on = gfd::sat_with_config(&w.sigma, &base.with_trace(TraceSpec::enabled()));
         assert_eq!(off.is_satisfiable(), expected, "p={p} tracing off");
         assert_eq!(on.is_satisfiable(), expected, "p={p} tracing on");
         assert_eq!(
-            off.metrics.units_generated, on.metrics.units_generated,
+            off.stats.units_generated, on.stats.units_generated,
             "tracing changed the seeded unit count: p={p}"
         );
         assert!(
-            off.metrics.trace.is_empty(),
+            off.stats.trace.is_empty(),
             "disabled tracing recorded events: p={p}"
         );
         assert!(
-            !on.metrics.trace.is_empty(),
+            !on.stats.trace.is_empty(),
             "enabled tracing recorded nothing: p={p}"
         );
     }

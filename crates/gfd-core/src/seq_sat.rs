@@ -332,7 +332,12 @@ mod tests {
 
     #[test]
     fn empty_sigma_is_satisfiable() {
-        assert!(seq_sat(&GfdSet::new()).is_satisfiable());
+        let r = seq_sat(&GfdSet::new());
+        assert!(r.is_satisfiable());
+    }
+
+    #[test]
+    fn empty_sigma_is_satisfiable_across_worker_counts() {
         for p in [1, 2] {
             let r = sat_with_config(&GfdSet::new(), &ReasonConfig::with_workers(p));
             assert!(r.is_satisfiable(), "p={p}");

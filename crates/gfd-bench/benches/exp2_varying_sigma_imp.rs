@@ -7,7 +7,7 @@
 //! sensitive to |Σ| when Σ |= ϕ (early termination).
 
 use gfd_bench::{banner, fmt_duration, scale, time_median, Table};
-use gfd_core::{imp_with_config, ReasonConfig};
+use gfd_core::{imp_with_config, DepSet, Dependency, ReasonConfig};
 use gfd_gen::synthetic_workload;
 
 fn main() {
@@ -51,8 +51,20 @@ fn main() {
                 imp_with_config(&w.sigma, phi, &cfg.clone().without_split()).is_implied()
             })
         });
+        // The chase baseline reasons over `DepSet`s; convert outside the
+        // timed closure.
+        let rdf_sigma = DepSet::from_gfds(w.sigma.clone());
+        let rdf_probes: Vec<_> = probes
+            .iter()
+            .map(|p| (Dependency::from_gfd(p.phi.clone()), p.expect_implied))
+            .collect();
         let t_rdf = time_median(scale.repeats.min(2), || {
-            run_all(&|phi| gfd_chase::chase_imp(&w.sigma, phi).is_implied())
+            for (phi, expect_implied) in &rdf_probes {
+                assert_eq!(
+                    gfd_chase::chase_imp(&rdf_sigma, phi).is_implied(),
+                    *expect_implied
+                );
+            }
         });
         table.row(vec![
             size.to_string(),

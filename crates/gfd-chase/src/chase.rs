@@ -1,37 +1,39 @@
-//! A deliberately *naive* chase engine over canonical graphs.
+//! The one chase loop: a round-based fixpoint over a canonical graph,
+//! for literal GFD sets and for sets with generating dependencies alike.
 //!
-//! This is the baseline the paper compares against (`ParImpRDF`, following
-//! Hellings et al.'s chase for RDF FDs): a round-based fixpoint that
-//! re-enumerates every match of every rule each round, with **no**
-//! dependency ordering, **no** inverted pending index, and **no** early
-//! consequence cut inside a round. Same answers as `SeqSat`/`SeqImp`,
-//! strictly more work — which is exactly the point of the comparison in
-//! Fig. 5 and Fig. 6(f).
+//! On a literal-only set it is the baseline the paper compares against
+//! (`ParImpRDF`, following Hellings et al.'s chase for RDF FDs): every
+//! round re-evaluates the premise of every cached match of every rule,
+//! with **no** dependency ordering, **no** inverted pending index, and
+//! **no** early consequence cut inside a round. Same answers as
+//! `SeqSat`/`SeqImp`, strictly more work — which is exactly the point of
+//! the comparison in Fig. 5 and Fig. 6(f).
 //!
-//! Since the scheduler port, each round's **premise scan** runs as a
-//! [`Task`] on the shared `gfd-runtime` work-stealing scheduler instead
-//! of a private loop: the cached match lists are chunked into scan units,
-//! every worker evaluates premises against its own clone of the
-//! round-start relation (premise evaluation only path-compresses, so a
-//! clone is semantically inert), and the fired `(rule, match)` pairs are
-//! applied **serially in deterministic order** between rounds. A premise
-//! that a mid-round enforcement would have unlocked simply fires one
-//! round later — the fixpoint (and any conflict) is unchanged because
-//! enforcement is monotone, while the round structure the baseline is
-//! *supposed* to pay for is preserved. Snapshot semantics hold at every
-//! worker count (including the sequential `workers = 1`), so
-//! [`ChaseStats`] round/eval counts are identical across `p` — they can
-//! run higher than the pre-port scan, which applied consequences
-//! mid-round, did for cascading rule orders; that is a uniform shift of
-//! the baseline, not a scan-order artifact.
+//! Each round's **premise scan** runs as a [`Task`] on the shared
+//! `gfd-runtime` work-stealing scheduler: the cached match lists are
+//! chunked into scan units, every worker evaluates premises against its
+//! own clone of the round-start relation (premise evaluation only
+//! path-compresses, so a clone is semantically inert), and the fired
+//! `(rule, match)` pairs are applied **in deterministic order** between
+//! rounds. A premise that a mid-round enforcement would have unlocked
+//! simply fires one round later — the fixpoint (and any conflict) is
+//! unchanged because enforcement is monotone. Snapshot semantics hold at
+//! every worker count (including the sequential `workers = 1`), so
+//! [`ChaseStats`] round/eval counts are identical across `p`.
+//!
+//! The apply phase depends on the set, decided once per chase. A
+//! literal-only set has nothing to plan and commits serially; a set with
+//! a generating rule plans its firings on the scheduler and commits them
+//! through the conflict partition ([`dep_chase_with_config`], DESIGN.md
+//! §12).
 
 use gfd_core::{
     eval_premise_lits, generate_deducible, Budget, CanonicalGraph, Conflict, Consequence, DepSet,
-    EqRel, GfdSet, Interrupt, Literal, Operand, PremiseStatus,
+    EqRel, Interrupt, Literal, Operand, PremiseStatus,
 };
-use gfd_graph::{AttrId, Graph, LabelId, MatchIndex, NodeId, ValueId, VarId};
+use gfd_graph::{AttrId, GfdId, Graph, LabelId, MatchIndex, NodeId, ValueId, VarId};
 use gfd_match::{find_all_matches, Match};
-use gfd_runtime::sched::{run_scheduler_with, SchedOptions, SchedRun, Task, WorkerCtx};
+use gfd_runtime::sched::{run_scheduler_with, SchedOptions, Task, WorkerCtx};
 use gfd_runtime::{
     failpoint, DispatchMode, EventKind, RunMetrics, TraceBuf, TraceSpec, CONTROL_WORKER,
 };
@@ -132,14 +134,10 @@ impl ChaseConfig {
     /// Scheduler options for one round's scan: the global deadline plus
     /// whatever of the unit budget is left after `units_so_far`.
     fn round_sched_options(&self, units_so_far: u64) -> SchedOptions {
+        let opts = self.budget.sched_options(self.trace);
         SchedOptions {
-            deadline: self.budget.deadline,
-            max_units: self
-                .budget
-                .max_units
-                .map(|max| max.saturating_sub(units_so_far)),
-            unit_retries: 0,
-            trace: self.trace,
+            max_units: opts.max_units.map(|max| max.saturating_sub(units_so_far)),
+            ..opts
         }
     }
 }
@@ -162,11 +160,12 @@ pub struct ChaseStats {
     pub realization_checks: u64,
     /// Firings committed by splicing a concurrently-built patch — the
     /// parallel-independent set of the conflict partition (DESIGN.md
-    /// §12.2). Zero for the literal [`GfdSet`] baseline, which keeps
-    /// the fully serial apply.
+    /// §12.2). Zero for the literal baseline (a set with no generating
+    /// rule), whose rounds have nothing to plan and commit serially.
     pub apply_independent: u64,
-    /// Firings whose touched classes or nodes overlapped an earlier
-    /// firing of the same round, replayed through the serial fallback.
+    /// Firings committed serially: those whose touched classes or nodes
+    /// overlapped an earlier firing of the same round, replayed through
+    /// the serial fallback, plus every firing of the literal baseline.
     pub apply_conflicts: u64,
     /// Wall time spent in premise scans, across all rounds.
     pub scan_time: Duration,
@@ -176,25 +175,9 @@ pub struct ChaseStats {
     pub apply_time: Duration,
 }
 
-/// Outcome of chasing Σ over a canonical graph.
-pub enum ChaseOutcome {
-    /// Fixpoint reached without conflict; the final relation is returned.
-    Fixpoint(EqRel),
-    /// Two distinct constants were forced onto one class.
-    Conflict(Conflict),
-    /// The run was cut short — deadline, unit budget, or an injected
-    /// fault — before the fixpoint: no definite answer.
-    Interrupted(Interrupt),
-}
-
-/// Apply the consequence of `gfd` at `m`; returns whether anything changed.
-fn apply_consequence(eq: &mut EqRel, gfd: &gfd_core::Gfd, m: &[NodeId]) -> Result<bool, Conflict> {
-    apply_literals(eq, &gfd.consequence, m)
-}
-
 /// Apply a literal-conjunction consequence at `m`; returns whether
-/// anything changed. Shared by the [`GfdSet`] baseline and the literal
-/// arm of the generalized [`DepSet`] chase.
+/// anything changed. The serial commit of literal-only rounds and the
+/// conflicting residual of planned rounds both go through here.
 fn apply_literals(eq: &mut EqRel, lits: &[Literal], m: &[NodeId]) -> Result<bool, Conflict> {
     let mut changed = false;
     for lit in lits {
@@ -231,9 +214,8 @@ struct ScanWorker {
 }
 
 /// One round's premise scan as a scheduler workload. The task only needs
-/// each rule's premise literals, so the same scan serves the classic
-/// [`GfdSet`] baseline and the generalized [`DepSet`] chase — a rule's
-/// consequence action is irrelevant until the serial apply phase.
+/// each rule's premise literals — a rule's consequence action is
+/// irrelevant until the apply phase.
 struct ScanTask<'a> {
     premises: &'a [&'a [Literal]],
     matches: &'a [Vec<Match>],
@@ -496,23 +478,6 @@ impl<I: MatchIndex> Task for ApplyTask<'_, I> {
     }
 }
 
-/// Fold one scheduler run's counters and per-worker times into the
-/// accumulated chase metrics.
-fn absorb_run<W>(metrics: &mut RunMetrics, run: &SchedRun<W>) {
-    metrics.trace.merge(&run.trace);
-    metrics.units_dispatched += run.units_executed;
-    metrics.units_split += run.units_split;
-    metrics.units_stolen += run.units_stolen;
-    metrics.units_panicked += run.units_panicked;
-    metrics.units_retried += run.units_retried;
-    for (acc, d) in metrics.worker_busy.iter_mut().zip(&run.worker_busy) {
-        *acc += *d;
-    }
-    for (acc, d) in metrics.worker_idle.iter_mut().zip(&run.worker_idle) {
-        *acc += *d;
-    }
-}
-
 /// Dispatch the planning pass for one round's pending firings. Returns
 /// the plans in pending order plus one worker's snapshot clone (reused
 /// as the partition probe), or the interrupt that cut the pass short.
@@ -551,18 +516,17 @@ fn plan_round<I: MatchIndex>(
     metrics.units_generated += units.len();
     let opts = config.round_sched_options(metrics.units_dispatched);
     let run = run_scheduler_with(&task, units, p, config.dispatch, &stop, opts);
-    absorb_run(metrics, &run);
-    let interrupt = Interrupt::from_outcome(&run.outcome);
+    let (workers, outcome) = metrics.fold_run(run);
     let mut plans: Vec<Option<FiringPlan>> = (0..pending.len()).map(|_| None).collect();
     let mut probe: Option<EqRel> = None;
-    for w in run.workers {
+    for w in workers {
         stats.realization_checks += w.realization_checks;
         for (i, plan) in w.plans {
             plans[i as usize] = Some(plan);
         }
         probe.get_or_insert(w.eq);
     }
-    if let Some(interrupt) = interrupt {
+    if let Some(interrupt) = Interrupt::from_outcome(&outcome) {
         return Err(interrupt);
     }
     let plans = plans
@@ -642,135 +606,6 @@ fn partition_independent(plans: &[FiringPlan], probe: &mut EqRel) -> Vec<bool> {
     independent
 }
 
-/// Chase Σ over `canon` starting from `eq0` until fixpoint or conflict,
-/// with the default (sequential) configuration.
-///
-/// Match lists are enumerated once per rule and cached (the graph topology
-/// never changes); every round re-evaluates every premise — the naive part.
-pub fn chase_to_fixpoint(
-    sigma: &GfdSet,
-    canon: &CanonicalGraph,
-    eq0: EqRel,
-) -> (ChaseOutcome, ChaseStats) {
-    let (outcome, stats, _) =
-        chase_to_fixpoint_with_config(sigma, canon, eq0, &ChaseConfig::default());
-    (outcome, stats)
-}
-
-/// Chase Σ over `canon` to fixpoint or conflict, with each round's
-/// premise scan dispatched on the shared work-stealing scheduler. Also
-/// returns the unified scheduler metrics accumulated over all rounds.
-pub fn chase_to_fixpoint_with_config(
-    sigma: &GfdSet,
-    canon: &CanonicalGraph,
-    eq0: EqRel,
-    config: &ChaseConfig,
-) -> (ChaseOutcome, ChaseStats, RunMetrics) {
-    let start = Instant::now();
-    let p = config.workers.max(1);
-    let mut stats = ChaseStats::default();
-    let mut metrics = RunMetrics {
-        workers: p,
-        ..Default::default()
-    };
-    metrics.worker_busy = vec![Duration::ZERO; p];
-    metrics.worker_idle = vec![Duration::ZERO; p];
-    let mut eq = eq0;
-
-    // Enumerate all matches up front (no pivoting, no pruning: naive).
-    let mut all_matches: Vec<Vec<Match>> = Vec::with_capacity(sigma.len());
-    for (_, gfd) in sigma.iter() {
-        let ms = find_all_matches(&canon.graph, &canon.index, &gfd.pattern);
-        stats.matches_enumerated += ms.len() as u64;
-        all_matches.push(ms);
-    }
-
-    let premises: Vec<&[Literal]> = sigma
-        .as_slice()
-        .iter()
-        .map(|g| g.premise.as_slice())
-        .collect();
-    let ctl = ControlTrace::new(config.trace);
-    let done = |outcome: ChaseOutcome, stats: ChaseStats, mut metrics: RunMetrics| {
-        ctl.flush_into(&mut metrics);
-        metrics.elapsed = start.elapsed();
-        metrics.deadline_slack_ms = config.budget.deadline_slack_ms();
-        (outcome, stats, metrics)
-    };
-    loop {
-        // Round boundary: the cooperative deadline check the scheduler
-        // cannot make for us between scans.
-        if config.budget.expired() {
-            metrics.early_terminated = true;
-            return done(
-                ChaseOutcome::Interrupted(Interrupt::Deadline),
-                stats,
-                metrics,
-            );
-        }
-        stats.rounds += 1;
-        let round = stats.rounds as u32;
-        let round_span = ctl.start();
-        let (fired, interrupt) = scan_round(
-            &premises,
-            &all_matches,
-            &eq,
-            config,
-            p,
-            &mut stats,
-            &mut metrics,
-        );
-        if let Some(interrupt) = interrupt {
-            // A degraded scan saw only part of this round's premises;
-            // claiming a fixpoint (or applying a partial round) would be
-            // answering a question we did not finish asking.
-            metrics.early_terminated = true;
-            return done(ChaseOutcome::Interrupted(interrupt), stats, metrics);
-        }
-
-        // ---- serial apply phase (the deliberately naive baseline) ----
-        if failpoint::triggered("chase/apply") {
-            metrics.early_terminated = true;
-            return done(
-                ChaseOutcome::Interrupted(Interrupt::Aborted(
-                    "failpoint chase/apply fired".to_string(),
-                )),
-                stats,
-                metrics,
-            );
-        }
-        let apply_start = Instant::now();
-        let apply_span = ctl.start();
-        let fired_count = fired.len() as u64;
-        let mut changed = false;
-        for (rule, idx) in fired {
-            let id = gfd_graph::GfdId::new(rule as usize);
-            let gfd = &sigma.as_slice()[rule as usize];
-            match apply_consequence(&mut eq, gfd, &all_matches[rule as usize][idx as usize]) {
-                Ok(c) => changed |= c,
-                Err(e) => {
-                    metrics.early_terminated = true;
-                    return done(ChaseOutcome::Conflict(e.with_gfd(id)), stats, metrics);
-                }
-            }
-        }
-        stats.apply_time += apply_start.elapsed();
-        // The literal baseline applies fully serially: its whole round is
-        // booked as the conflicting residual (`a = 0` independent).
-        ctl.span(EventKind::ApplyCommit, round, apply_span, 0, fired_count);
-        ctl.span(
-            EventKind::ChaseRound,
-            round,
-            round_span,
-            fired_count,
-            sigma.len() as u64,
-        );
-        if !changed {
-            return done(ChaseOutcome::Fixpoint(eq), stats, metrics);
-        }
-    }
-}
-
 /// Dispatch one round's premise scan on the shared scheduler and collect
 /// the fired `(rule, match index)` pairs in deterministic order (the
 /// sequential scan's order, whatever the worker interleaving was).
@@ -808,15 +643,15 @@ fn scan_round(
     metrics.units_generated += units.len();
     let opts = config.round_sched_options(metrics.units_dispatched);
     let run = run_scheduler_with(&task, units, p, config.dispatch, &stop, opts);
-    absorb_run(metrics, &run);
+    let (workers, outcome) = metrics.fold_run(run);
     let mut fired: Vec<(u32, u32)> = Vec::new();
-    for w in run.workers {
+    for w in workers {
         stats.premise_evals += w.premise_evals;
         fired.extend(w.fired);
     }
     fired.sort_unstable();
     stats.scan_time += scan_start.elapsed();
-    (fired, Interrupt::from_outcome(&run.outcome))
+    (fired, Interrupt::from_outcome(&outcome))
 }
 
 /// Outcome of chasing a generalized dependency set over a growable graph.
@@ -844,35 +679,53 @@ pub enum DepChaseOutcome {
 }
 
 /// Chase a generalized [`DepSet`] over `graph0` to fixpoint, conflict or
-/// budget exhaustion, starting from `eq0`.
+/// budget exhaustion, starting from `eq0`. Freezes `graph0` once and
+/// runs the one chase loop (see the module docs): a round-based fixpoint
+/// whose premise scan runs on the shared scheduler, followed by an apply
+/// phase.
 ///
-/// Each round runs the premise scan of **every** dependency as scan units
-/// on the shared scheduler (identical to the literal chase), then the
-/// apply phase handles both consequence actions in two passes:
-///
-/// * a **parallel planning pass**, also on the scheduler: every
-///   generating firing's *realization* is checked against the
+/// * **Literal-only sets** (the paper's `ParImpRDF` baseline) have
+///   nothing to plan — no realization check, no fresh node — so each
+///   round's firings commit serially in sorted `(rule, match index)`
+///   order, booked as the serial residual (`apply_conflicts`).
+/// * **Sets with a generating rule** plan each round on the scheduler:
+///   every generating firing's *realization* is checked against the
 ///   **round-start** topology and relation snapshot — checks are
 ///   read-only, so they are all independent by construction — and every
 ///   firing's mutation buffer (`Patch`) is built concurrently. A
-///   `(rule, match)` key fires at most once across rounds.
-/// * a **deterministic commit walk** in sorted `(rule, match index)`
-///   order: the greedy conflict partition (DESIGN.md §12.2) splits the
-///   round into the parallel-independent set — disjoint touched
-///   equivalence classes, premise nodes, and fresh-node ranges, whose
-///   patches provably commute and are spliced directly — and the
-///   conflicting residual, which replays the original fully serial
-///   apply. Because the walk order equals the old serial order, node
-///   ids, conflict attribution, and budget cut points are byte-identical
-///   to the serial chase at every worker count.
+///   `(rule, match)` key fires at most once across rounds. The
+///   **deterministic commit walk** then runs in sorted `(rule, match
+///   index)` order: the greedy conflict partition (DESIGN.md §12.2)
+///   splits the round into the parallel-independent set — disjoint
+///   touched equivalence classes, premise nodes, and fresh-node ranges,
+///   whose patches provably commute and are spliced directly — and the
+///   conflicting residual, which replays the fully serial apply. Because
+///   the walk order equals the serial order, node ids, conflict
+///   attribution, and budget cut points are byte-identical to the serial
+///   chase at every worker count.
 ///
-/// When a round materialized topology, matches are re-enumerated against
-/// the grown graph before the next round; fixpoint is reached when a
-/// round applies nothing new. Literal-only sets never materialize, so
-/// this degenerates to exactly the cached-match literal chase.
+/// When a round materialized topology, the graph is re-frozen and
+/// matches are re-enumerated before the next round; fixpoint is reached
+/// when a round applies nothing new.
 pub fn dep_chase_with_config(
     deps: &DepSet,
     graph0: Graph,
+    eq0: EqRel,
+    config: &ChaseConfig,
+) -> (DepChaseOutcome, ChaseStats, RunMetrics) {
+    let start = Instant::now();
+    let (outcome, stats, mut metrics) =
+        chase_frozen(deps, CanonicalGraph::from_graph(graph0), eq0, config);
+    metrics.elapsed = start.elapsed();
+    (outcome, stats, metrics)
+}
+
+/// [`dep_chase_with_config`] from an already-frozen canonical graph: the
+/// chase baselines start here from the `GΣ` / `G^X_Q` they built, so the
+/// graph is frozen exactly once.
+pub(crate) fn chase_frozen(
+    deps: &DepSet,
+    mut canon: CanonicalGraph,
     eq0: EqRel,
     config: &ChaseConfig,
 ) -> (DepChaseOutcome, ChaseStats, RunMetrics) {
@@ -883,16 +736,15 @@ pub fn dep_chase_with_config(
         workers: p,
         ..Default::default()
     };
-    metrics.worker_busy = vec![Duration::ZERO; p];
-    metrics.worker_idle = vec![Duration::ZERO; p];
-
-    let mut graph = graph0;
     let mut eq = eq0;
     let premises: Vec<&[Literal]> = deps
         .as_slice()
         .iter()
         .map(|d| d.premise.as_slice())
         .collect();
+    // Decided once per chase: without a generating rule no round has
+    // anything to plan.
+    let generating = deps.has_generating();
     // A generating firing's identity: once materialized (or found
     // realized), the same `(rule, match)` never fires again.
     type FiredKey = (u32, Match);
@@ -901,14 +753,15 @@ pub fn dep_chase_with_config(
     let ctl = ControlTrace::new(config.trace);
     let done = |outcome: DepChaseOutcome, stats: ChaseStats, mut metrics: RunMetrics| {
         ctl.flush_into(&mut metrics);
+        metrics.matches = stats.matches_enumerated;
+        metrics.early_terminated = !matches!(outcome, DepChaseOutcome::Fixpoint { .. });
         metrics.elapsed = start.elapsed();
         metrics.deadline_slack_ms = config.budget.deadline_slack_ms();
         (outcome, stats, metrics)
     };
 
     'rebuild: loop {
-        // (Re-)freeze the current topology and enumerate premise matches.
-        let canon = CanonicalGraph::from_graph(graph.clone());
+        // Enumerate premise matches over the current frozen topology.
         let mut all_matches: Vec<Vec<Match>> = Vec::with_capacity(deps.len());
         for (_, dep) in deps.iter() {
             let ms = find_all_matches(&canon.graph, &canon.index, &dep.pattern);
@@ -917,8 +770,9 @@ pub fn dep_chase_with_config(
         }
 
         loop {
+            // Round boundary: the cooperative deadline check the
+            // scheduler cannot make for us between scans.
             if config.budget.expired() {
-                metrics.early_terminated = true;
                 return done(
                     DepChaseOutcome::Interrupted(Interrupt::Deadline),
                     stats,
@@ -938,13 +792,12 @@ pub fn dep_chase_with_config(
                 &mut metrics,
             );
             if let Some(interrupt) = interrupt {
-                metrics.early_terminated = true;
+                // A degraded scan saw only part of this round's premises;
+                // claiming a fixpoint (or applying a partial round) would
+                // be answering a question we did not finish asking.
                 return done(DepChaseOutcome::Interrupted(interrupt), stats, metrics);
             }
-
-            // ---- apply phase: plan in parallel, commit in order ----
             if failpoint::triggered("chase/apply") {
-                metrics.early_terminated = true;
                 return done(
                     DepChaseOutcome::Interrupted(Interrupt::Aborted(
                         "failpoint chase/apply fired".to_string(),
@@ -953,147 +806,90 @@ pub fn dep_chase_with_config(
                     metrics,
                 );
             }
-            // Pending firings: literal consequences as-is, generating
-            // firings deduped against every earlier round (a (rule,
-            // match) key fires at most once). Within a round every match
-            // index is distinct, so the round cannot collide with
-            // itself.
-            let mut pending: Vec<(u32, u32)> = Vec::with_capacity(fired.len());
-            for &(rule, idx) in &fired {
-                match &deps.as_slice()[rule as usize].consequence {
-                    Consequence::Literals(_) => pending.push((rule, idx)),
-                    Consequence::Generate(_) => {
-                        let key: FiredKey =
-                            (rule, all_matches[rule as usize][idx as usize].clone());
-                        if fired_gen.insert(key) {
-                            pending.push((rule, idx));
+
+            let topo_before = canon.graph.topology_version();
+            let independent0 = stats.apply_independent;
+            let conflicts0 = stats.apply_conflicts;
+            let (apply_start, commit_span, committed) = if generating {
+                // Pending firings: literal consequences as-is, generating
+                // firings deduped against every earlier round (a (rule,
+                // match) key fires at most once). Within a round every
+                // match index is distinct, so the round cannot collide
+                // with itself.
+                let mut pending: Vec<(u32, u32)> = Vec::with_capacity(fired.len());
+                for &(rule, idx) in &fired {
+                    match &deps.as_slice()[rule as usize].consequence {
+                        Consequence::Literals(_) => pending.push((rule, idx)),
+                        Consequence::Generate(_) => {
+                            let key: FiredKey =
+                                (rule, all_matches[rule as usize][idx as usize].clone());
+                            if fired_gen.insert(key) {
+                                pending.push((rule, idx));
+                            }
                         }
                     }
                 }
-            }
 
-            // Planning pass (on the scheduler): realization checks are
-            // read-only against the round-start snapshots — trivially
-            // parallel under round-snapshot semantics — and every
-            // firing's mutation buffer is built concurrently. The
-            // greedy partition then splits the round into the
-            // parallel-independent set (disjoint touched classes,
-            // nodes, and fresh ranges — those patches commute) and the
-            // conflicting residual, which replays the serial apply.
-            let apply_start = Instant::now();
-            let plan_span = ctl.start();
-            let checks0 = stats.realization_checks;
-            let (plans, independent) = if pending.is_empty() {
-                (Vec::new(), Vec::new())
-            } else {
-                match plan_round(
+                // Planning pass (on the scheduler), then the greedy
+                // partition into the parallel-independent set and the
+                // conflicting residual.
+                let apply_start = Instant::now();
+                let plan_span = ctl.start();
+                let checks0 = stats.realization_checks;
+                let (plans, independent) = if pending.is_empty() {
+                    (Vec::new(), Vec::new())
+                } else {
+                    match plan_round(
+                        deps,
+                        &all_matches,
+                        &pending,
+                        &canon.index,
+                        &eq,
+                        config,
+                        p,
+                        &mut stats,
+                        &mut metrics,
+                    ) {
+                        Ok((plans, mut probe)) => {
+                            let independent = partition_independent(&plans, &mut probe);
+                            (plans, independent)
+                        }
+                        Err(interrupt) => {
+                            return done(DepChaseOutcome::Interrupted(interrupt), stats, metrics);
+                        }
+                    }
+                };
+                ctl.span(
+                    EventKind::ApplyPlan,
+                    round,
+                    plan_span,
+                    pending.len() as u64,
+                    stats.realization_checks - checks0,
+                );
+                let commit_span = ctl.start();
+                let committed = commit_planned(
                     deps,
                     &all_matches,
                     &pending,
-                    &canon.index,
-                    &eq,
+                    &plans,
+                    &independent,
+                    &mut canon.graph,
+                    &mut eq,
                     config,
-                    p,
                     &mut stats,
-                    &mut metrics,
-                ) {
-                    Ok((plans, mut probe)) => {
-                        let independent = partition_independent(&plans, &mut probe);
-                        (plans, independent)
-                    }
-                    Err(interrupt) => {
-                        metrics.early_terminated = true;
-                        return done(DepChaseOutcome::Interrupted(interrupt), stats, metrics);
-                    }
-                }
+                );
+                (apply_start, commit_span, committed)
+            } else {
+                let apply_start = Instant::now();
+                let commit_span = ctl.start();
+                let committed = commit_serial(deps, &all_matches, &fired, &mut eq, &mut stats)
+                    .map_err(DepChaseOutcome::Conflict);
+                (apply_start, commit_span, committed)
             };
-            ctl.span(
-                EventKind::ApplyPlan,
-                round,
-                plan_span,
-                pending.len() as u64,
-                stats.realization_checks - checks0,
-            );
-
-            // Deterministic commit walk in sorted (rule, match index)
-            // order — the same order the fully serial apply used, so
-            // node ids, conflict attribution and budget cut points are
-            // identical at every worker count.
-            let topo_before = graph.topology_version();
-            let commit_span = ctl.start();
-            let independent0 = stats.apply_independent;
-            let conflicts0 = stats.apply_conflicts;
-            let mut changed = false;
-            for (i, &(rule, idx)) in pending.iter().enumerate() {
-                let id = gfd_graph::GfdId::new(rule as usize);
-                let dep = &deps.as_slice()[rule as usize];
-                let m = &all_matches[rule as usize][idx as usize];
-                match (&dep.consequence, &plans[i]) {
-                    (_, FiringPlan::Realized) => {}
-                    (Consequence::Literals(lits), FiringPlan::Patch(patch)) => {
-                        let applied = if independent[i] {
-                            stats.apply_independent += 1;
-                            splice_ops(&mut eq, &patch.ops, &[])
-                        } else {
-                            stats.apply_conflicts += 1;
-                            apply_literals(&mut eq, lits, m)
-                        };
-                        match applied {
-                            Ok(c) => changed |= c,
-                            Err(e) => {
-                                metrics.early_terminated = true;
-                                return done(
-                                    DepChaseOutcome::Conflict(e.with_gfd(id)),
-                                    stats,
-                                    metrics,
-                                );
-                            }
-                        }
-                    }
-                    (Consequence::Generate(gen), FiringPlan::Patch(patch)) => {
-                        let materialized = if independent[i] {
-                            stats.apply_independent += 1;
-                            splice_patch(&mut graph, &mut eq, patch)
-                        } else {
-                            stats.apply_conflicts += 1;
-                            gen.materialize(&mut graph, m, &mut |lit, asn| {
-                                let k1 = (asn[lit.var.index()], lit.attr);
-                                match &lit.rhs {
-                                    Operand::Const(c) => eq.bind(k1, *c).map(|_| ()),
-                                    Operand::Attr(v2, a2) => {
-                                        eq.merge(k1, (asn[v2.index()], *a2)).map(|_| ())
-                                    }
-                                }
-                            })
-                            .map(|fresh| fresh.len())
-                        };
-                        match materialized {
-                            Ok(fresh) => {
-                                stats.generated_nodes += fresh as u64;
-                                changed = true;
-                                if stats.generated_nodes > config.max_generated_nodes {
-                                    metrics.early_terminated = true;
-                                    return done(
-                                        DepChaseOutcome::BudgetExhausted {
-                                            generated_nodes: stats.generated_nodes,
-                                        },
-                                        stats,
-                                        metrics,
-                                    );
-                                }
-                            }
-                            Err(e) => {
-                                metrics.early_terminated = true;
-                                return done(
-                                    DepChaseOutcome::Conflict(e.with_gfd(id)),
-                                    stats,
-                                    metrics,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
+            let changed = match committed {
+                Ok(changed) => changed,
+                Err(outcome) => return done(outcome, stats, metrics),
+            };
             stats.apply_time += apply_start.elapsed();
             ctl.span(
                 EventKind::ApplyCommit,
@@ -1112,26 +908,118 @@ pub fn dep_chase_with_config(
             if !changed {
                 return done(
                     DepChaseOutcome::Fixpoint {
-                        graph: Box::new(graph),
+                        graph: Box::new(canon.graph),
                         eq: Box::new(eq),
                     },
                     stats,
                     metrics,
                 );
             }
-            if graph.topology_version() != topo_before {
+            if canon.graph.topology_version() != topo_before {
                 // Materialization grew the graph: matches (and the frozen
                 // index the realization check probes) are stale.
+                canon = CanonicalGraph::from_graph(std::mem::take(&mut canon.graph));
                 continue 'rebuild;
             }
         }
     }
 }
 
+/// The commit of a round with nothing to plan (a literal-only set): every
+/// firing applies its consequence serially in walk order and is booked
+/// as the serial residual. Returns whether the relation changed.
+fn commit_serial(
+    deps: &DepSet,
+    all_matches: &[Vec<Match>],
+    fired: &[(u32, u32)],
+    eq: &mut EqRel,
+    stats: &mut ChaseStats,
+) -> Result<bool, Conflict> {
+    let mut changed = false;
+    for &(rule, idx) in fired {
+        let Consequence::Literals(lits) = &deps.as_slice()[rule as usize].consequence else {
+            unreachable!("a set without generating rules fires literal consequences only")
+        };
+        stats.apply_conflicts += 1;
+        changed |= apply_literals(eq, lits, &all_matches[rule as usize][idx as usize])
+            .map_err(|e| e.with_gfd(GfdId::new(rule as usize)))?;
+    }
+    Ok(changed)
+}
+
+/// The deterministic commit walk of a planned round, in sorted `(rule,
+/// match index)` order — the order the fully serial apply uses, so node
+/// ids, conflict attribution and budget cut points are identical at
+/// every worker count. Independent firings splice their patch; the
+/// conflicting residual replays the serial apply. Returns whether the
+/// graph or relation changed, or the outcome that ends the chase (a
+/// conflict or the fresh-node budget).
+#[allow(clippy::too_many_arguments)]
+fn commit_planned(
+    deps: &DepSet,
+    all_matches: &[Vec<Match>],
+    pending: &[(u32, u32)],
+    plans: &[FiringPlan],
+    independent: &[bool],
+    graph: &mut Graph,
+    eq: &mut EqRel,
+    config: &ChaseConfig,
+    stats: &mut ChaseStats,
+) -> Result<bool, DepChaseOutcome> {
+    let mut changed = false;
+    for (i, &(rule, idx)) in pending.iter().enumerate() {
+        let conflict =
+            |e: Conflict| DepChaseOutcome::Conflict(e.with_gfd(GfdId::new(rule as usize)));
+        let m = &all_matches[rule as usize][idx as usize];
+        match (&deps.as_slice()[rule as usize].consequence, &plans[i]) {
+            (_, FiringPlan::Realized) => {}
+            (Consequence::Literals(lits), FiringPlan::Patch(patch)) => {
+                let applied = if independent[i] {
+                    stats.apply_independent += 1;
+                    splice_ops(eq, &patch.ops, &[])
+                } else {
+                    stats.apply_conflicts += 1;
+                    apply_literals(eq, lits, m)
+                };
+                changed |= applied.map_err(conflict)?;
+            }
+            (Consequence::Generate(gen), FiringPlan::Patch(patch)) => {
+                let fresh = if independent[i] {
+                    stats.apply_independent += 1;
+                    splice_patch(graph, eq, patch)
+                } else {
+                    stats.apply_conflicts += 1;
+                    gen.materialize(graph, m, &mut |lit, asn| {
+                        let k1 = (asn[lit.var.index()], lit.attr);
+                        match &lit.rhs {
+                            Operand::Const(c) => eq.bind(k1, *c).map(|_| ()),
+                            Operand::Attr(v2, a2) => {
+                                eq.merge(k1, (asn[v2.index()], *a2)).map(|_| ())
+                            }
+                        }
+                    })
+                    .map(|fresh| fresh.len())
+                }
+                .map_err(conflict)?;
+                stats.generated_nodes += fresh as u64;
+                changed = true;
+                if stats.generated_nodes > config.max_generated_nodes {
+                    return Err(DepChaseOutcome::BudgetExhausted {
+                        generated_nodes: stats.generated_nodes,
+                    });
+                }
+            }
+        }
+    }
+    Ok(changed)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfd_core::{Gfd, Literal};
+    use crate::ggd::DepSatOutcome;
+    use crate::sat_chase::chase_sat_with_config;
+    use gfd_core::{Gfd, GfdSet, Literal};
     use gfd_graph::{Pattern, ValueId as VId, VarId, Vocab};
 
     fn unary(vocab: &mut Vocab, name: &str, pre: Vec<Literal>, post: Vec<Literal>) -> Gfd {
@@ -1163,22 +1051,34 @@ mod tests {
         ])
     }
 
+    fn conflict_sigma(vocab: &mut Vocab) -> DepSet {
+        let a = vocab.attr("a");
+        let x = VarId::new(0);
+        DepSet::from_gfds(GfdSet::from_vec(vec![
+            unary(vocab, "zero", vec![], vec![Literal::eq_const(x, a, 0i64)]),
+            unary(vocab, "one", vec![], vec![Literal::eq_const(x, a, 1i64)]),
+        ]))
+    }
+
     #[test]
     fn chase_derives_chains_across_rounds() {
         let mut vocab = Vocab::new();
         let c = vocab.attr("c");
         let sigma = chain_sigma(&mut vocab);
         let (canon, node_of) = CanonicalGraph::for_sigma(&sigma);
-        let (outcome, stats) = chase_to_fixpoint(&sigma, &canon, EqRel::new());
+        let deps = DepSet::from_gfds(sigma);
+        let (outcome, stats, _) =
+            dep_chase_with_config(&deps, canon.graph, EqRel::new(), &ChaseConfig::default());
         match outcome {
-            ChaseOutcome::Fixpoint(mut eq) => {
+            DepChaseOutcome::Fixpoint { mut eq, .. } => {
                 // Every t-node (one per unary pattern copy) derives c=1.
                 for nodes in &node_of {
                     assert!(eq.deduces_const((nodes[0], c), VId::of(1i64)));
                 }
             }
-            ChaseOutcome::Conflict(c) => panic!("unexpected conflict: {c}"),
-            ChaseOutcome::Interrupted(i) => panic!("unexpected interrupt: {i}"),
+            DepChaseOutcome::Conflict(c) => panic!("unexpected conflict: {c}"),
+            DepChaseOutcome::BudgetExhausted { .. } => panic!("a literal set generates nothing"),
+            DepChaseOutcome::Interrupted(i) => panic!("unexpected interrupt: {i}"),
         }
         // The chain needs multiple rounds — the naive overhead the paper
         // measures.
@@ -1189,34 +1089,16 @@ mod tests {
     #[test]
     fn chase_detects_conflicts() {
         let mut vocab = Vocab::new();
-        let a = vocab.attr("a");
-        let x = VarId::new(0);
-        let sigma = GfdSet::from_vec(vec![
-            unary(
-                &mut vocab,
-                "zero",
-                vec![],
-                vec![Literal::eq_const(x, a, 0i64)],
-            ),
-            unary(
-                &mut vocab,
-                "one",
-                vec![],
-                vec![Literal::eq_const(x, a, 1i64)],
-            ),
-        ]);
-        let (canon, _) = CanonicalGraph::for_sigma(&sigma);
-        let (outcome, _) = chase_to_fixpoint(&sigma, &canon, EqRel::new());
-        assert!(matches!(outcome, ChaseOutcome::Conflict(_)));
+        let deps = conflict_sigma(&mut vocab);
+        let r = chase_sat_with_config(&deps, &ChaseConfig::default());
+        assert!(matches!(r.outcome, DepSatOutcome::Unsatisfiable(_)));
     }
 
     #[test]
     fn empty_sigma_fixpoints_immediately() {
-        let sigma = GfdSet::new();
-        let (canon, _) = CanonicalGraph::for_sigma(&sigma);
-        let (outcome, stats) = chase_to_fixpoint(&sigma, &canon, EqRel::new());
-        assert!(matches!(outcome, ChaseOutcome::Fixpoint(_)));
-        assert_eq!(stats.rounds, 1);
+        let r = chase_sat_with_config(&DepSet::new(), &ChaseConfig::default());
+        assert!(matches!(r.outcome, DepSatOutcome::Satisfiable(_)));
+        assert_eq!(r.stats.rounds, 1);
     }
 
     /// The scheduler port must not change what the chase derives: every
@@ -1228,6 +1110,7 @@ mod tests {
         let c = vocab.attr("c");
         let sigma = chain_sigma(&mut vocab);
         let (canon, node_of) = CanonicalGraph::for_sigma(&sigma);
+        let deps = DepSet::from_gfds(sigma);
         for p in [1usize, 2, 8] {
             for dispatch in [DispatchMode::WorkStealing, DispatchMode::Coordinator] {
                 let cfg = ChaseConfig {
@@ -1238,9 +1121,9 @@ mod tests {
                     ..ChaseConfig::default()
                 };
                 let (outcome, stats, metrics) =
-                    chase_to_fixpoint_with_config(&sigma, &canon, EqRel::new(), &cfg);
+                    dep_chase_with_config(&deps, canon.graph.clone(), EqRel::new(), &cfg);
                 match outcome {
-                    ChaseOutcome::Fixpoint(mut eq) => {
+                    DepChaseOutcome::Fixpoint { mut eq, .. } => {
                         for nodes in &node_of {
                             assert!(
                                 eq.deduces_const((nodes[0], c), VId::of(1i64)),
@@ -1248,8 +1131,9 @@ mod tests {
                             );
                         }
                     }
-                    ChaseOutcome::Conflict(e) => panic!("p={p} {dispatch:?}: {e}"),
-                    ChaseOutcome::Interrupted(i) => panic!("p={p} {dispatch:?}: {i}"),
+                    DepChaseOutcome::Conflict(e) => panic!("p={p} {dispatch:?}: {e}"),
+                    DepChaseOutcome::BudgetExhausted { .. } => panic!("p={p} {dispatch:?}"),
+                    DepChaseOutcome::Interrupted(i) => panic!("p={p} {dispatch:?}: {i}"),
                 }
                 assert!(stats.rounds >= 3);
                 assert_eq!(metrics.workers, p);
@@ -1265,15 +1149,14 @@ mod tests {
     #[test]
     fn tracing_records_rule_and_phase_spans() {
         let mut vocab = Vocab::new();
-        let sigma = chain_sigma(&mut vocab);
-        let (canon, _) = CanonicalGraph::for_sigma(&sigma);
+        let deps = DepSet::from_gfds(chain_sigma(&mut vocab));
         let cfg = ChaseConfig {
             trace: TraceSpec::enabled(),
             ..ChaseConfig::with_workers(2)
         };
-        let (outcome, stats, metrics) =
-            chase_to_fixpoint_with_config(&sigma, &canon, EqRel::new(), &cfg);
-        assert!(matches!(outcome, ChaseOutcome::Fixpoint(_)));
+        let r = chase_sat_with_config(&deps, &cfg);
+        assert!(r.is_satisfiable());
+        let (stats, metrics) = (r.stats, r.metrics);
         let count =
             |k: EventKind| metrics.trace.events.iter().filter(|e| e.kind == k).count() as u64;
         assert!(count(EventKind::RuleEval) > 0, "no scan spans recorded");
@@ -1290,37 +1173,24 @@ mod tests {
             }
         }
 
-        let (_, _, quiet) =
-            chase_to_fixpoint_with_config(&sigma, &canon, EqRel::new(), &ChaseConfig::default());
-        assert!(quiet.trace.is_empty(), "default config must not trace");
+        let quiet = chase_sat_with_config(&deps, &ChaseConfig::default());
+        assert!(
+            quiet.metrics.trace.is_empty(),
+            "default config must not trace"
+        );
     }
 
     #[test]
     fn conflicts_survive_the_parallel_scan() {
         let mut vocab = Vocab::new();
-        let a = vocab.attr("a");
-        let x = VarId::new(0);
-        let sigma = GfdSet::from_vec(vec![
-            unary(
-                &mut vocab,
-                "zero",
-                vec![],
-                vec![Literal::eq_const(x, a, 0i64)],
-            ),
-            unary(
-                &mut vocab,
-                "one",
-                vec![],
-                vec![Literal::eq_const(x, a, 1i64)],
-            ),
-        ]);
-        let (canon, _) = CanonicalGraph::for_sigma(&sigma);
+        let deps = conflict_sigma(&mut vocab);
         for p in [2usize, 4] {
-            let cfg = ChaseConfig::with_workers(p);
-            let (outcome, _, metrics) =
-                chase_to_fixpoint_with_config(&sigma, &canon, EqRel::new(), &cfg);
-            assert!(matches!(outcome, ChaseOutcome::Conflict(_)), "p={p}");
-            assert!(metrics.early_terminated);
+            let r = chase_sat_with_config(&deps, &ChaseConfig::with_workers(p));
+            assert!(
+                matches!(r.outcome, DepSatOutcome::Unsatisfiable(_)),
+                "p={p}"
+            );
+            assert!(r.metrics.early_terminated);
         }
     }
 }

@@ -9,11 +9,13 @@
 //!   unified driver via [`gfd_core::ggd_imp_with_config`]
 //!   (`Goal::GgdImp`), because literal enforcement never changes the
 //!   topology the realization check probes.
-//! * A **mixed** set routes through the chase
-//!   ([`crate::chase::dep_chase_with_config`]): scan units stay on the
-//!   shared scheduler, generating consequences are applied in the serial
-//!   between-rounds step, and the fresh-node budget turns potential
-//!   non-termination into an explicit `Unknown` outcome.
+//! * A **mixed** set routes through the chase arms,
+//!   [`crate::sat_chase::chase_sat_with_config`] and
+//!   [`crate::imp_rdf::chase_imp_with_config`] — the same functions that
+//!   serve as the paper's chase baseline on literal sets. Scan units and
+//!   apply planning run on the shared scheduler, and the fresh-node
+//!   budget turns potential non-termination into an explicit `Unknown`
+//!   outcome.
 //!
 //! Satisfiability of a mixed Σ chases the disjoint union of every
 //! premise pattern (the `GΣ` construction, unchanged); implication
@@ -21,13 +23,14 @@
 //! literal deducibility or generating-target realization — on the chased
 //! result.
 
-use crate::chase::{dep_chase_with_config, ChaseConfig, ChaseStats, DepChaseOutcome};
+use crate::chase::{ChaseConfig, ChaseStats};
+use crate::imp_rdf::chase_imp_with_config;
+use crate::sat_chase::chase_sat_with_config;
 use gfd_core::{
-    consequence_lits_deducible, extract_model, generate_deducible, ggd_imp_with_config,
-    imp_with_config, sat_with_config, CanonicalGraph, Conflict, Consequence, DepSet, Dependency,
-    EqRel, ImpOutcome, ImpliedVia, Interrupt, ReasonConfig, SatOutcome,
+    ggd_imp_with_config, imp_with_config, sat_with_config, Conflict, DepSet, Dependency,
+    ImpOutcome, ImpliedVia, Interrupt, ReasonConfig, SatOutcome,
 };
-use gfd_graph::{Graph, LabelIndex, NodeId};
+use gfd_graph::Graph;
 use gfd_runtime::RunMetrics;
 
 /// The outcome of satisfiability over a generalized dependency set.
@@ -103,8 +106,8 @@ pub fn dep_sat(deps: &DepSet) -> DepSatResult {
 }
 
 /// Check satisfiability of a generalized Σ: literal-only sets run
-/// [`sat_with_config`] (SeqSat/ParSat), mixed sets the generating chase
-/// over `GΣ`.
+/// [`sat_with_config`] (SeqSat/ParSat), mixed sets the chase over `GΣ`
+/// ([`chase_sat_with_config`]).
 pub fn dep_sat_with_config(deps: &DepSet, config: &ChaseConfig) -> DepSatResult {
     if let Some(gfds) = deps.to_gfds() {
         let r = sat_with_config(&gfds, &reason_config(config));
@@ -120,29 +123,7 @@ pub fn dep_sat_with_config(deps: &DepSet, config: &ChaseConfig) -> DepSatResult 
         };
     }
 
-    // GΣ: the disjoint union of every premise pattern, exactly as for
-    // GFDs — generating rules contribute their premise side only; their
-    // targets are materialized by the chase itself.
-    let mut graph = Graph::new();
-    for (_, dep) in deps.iter() {
-        graph.append_disjoint(&dep.pattern.to_graph());
-    }
-    let (outcome, stats, metrics) = dep_chase_with_config(deps, graph, EqRel::new(), config);
-    let outcome = match outcome {
-        DepChaseOutcome::Fixpoint { graph, mut eq } => {
-            DepSatOutcome::Satisfiable(Box::new(extract_model(&graph, &mut eq)))
-        }
-        DepChaseOutcome::Conflict(c) => DepSatOutcome::Unsatisfiable(c),
-        DepChaseOutcome::BudgetExhausted { generated_nodes } => {
-            DepSatOutcome::Unknown { generated_nodes }
-        }
-        DepChaseOutcome::Interrupted(i) => DepSatOutcome::Interrupted(i),
-    };
-    DepSatResult {
-        outcome,
-        stats,
-        metrics,
-    }
+    chase_sat_with_config(deps, config)
 }
 
 /// The outcome of implication over a generalized dependency set.
@@ -196,7 +177,7 @@ pub fn dep_imp(deps: &DepSet, phi: &Dependency) -> DepImpResult {
 /// Check `Σ |= ϕ` over generalized dependencies: when Σ is literal the
 /// unified driver decides it (including generating candidates, via
 /// `Goal::GgdImp`); a mixed Σ chases `G^X_Q` to fixpoint and tests ϕ's
-/// consequence on the result.
+/// consequence on the result ([`chase_imp_with_config`]).
 pub fn dep_imp_with_config(deps: &DepSet, phi: &Dependency, config: &ChaseConfig) -> DepImpResult {
     if let Some(gfds) = deps.to_gfds() {
         let r = match phi.as_gfd() {
@@ -215,72 +196,13 @@ pub fn dep_imp_with_config(deps: &DepSet, phi: &Dependency, config: &ChaseConfig
         };
     }
 
-    let zero = |outcome: DepImpOutcome| DepImpResult {
-        outcome,
-        stats: ChaseStats::default(),
-        metrics: RunMetrics {
-            workers: config.workers.max(1),
-            ..Default::default()
-        },
-    };
-    // Trivial short-circuits mirror `imp_shortcuts`.
-    if matches!(&phi.consequence, Consequence::Literals(lits) if lits.is_empty()) {
-        return zero(DepImpOutcome::Implied(ImpliedVia::Consequence));
-    }
-    let (canon, eqx) = match CanonicalGraph::for_premise(&phi.pattern, &phi.premise) {
-        Ok(pair) => pair,
-        Err(_) => return zero(DepImpOutcome::Implied(ImpliedVia::PremiseInconsistent)),
-    };
-    let identity: Vec<NodeId> = (0..phi.pattern.node_count()).map(NodeId::new).collect();
-    {
-        let mut probe = eqx.clone();
-        if consequence_holds_on(&mut probe, &canon.index, phi, &identity) {
-            return zero(DepImpOutcome::Implied(ImpliedVia::Consequence));
-        }
-    }
-
-    let (outcome, stats, metrics) = dep_chase_with_config(deps, canon.graph.clone(), eqx, config);
-    let outcome = match outcome {
-        DepChaseOutcome::Conflict(c) => DepImpOutcome::Implied(ImpliedVia::Conflict(c)),
-        DepChaseOutcome::BudgetExhausted { generated_nodes } => {
-            DepImpOutcome::Unknown { generated_nodes }
-        }
-        DepChaseOutcome::Interrupted(i) => DepImpOutcome::Interrupted(i),
-        DepChaseOutcome::Fixpoint { graph, mut eq } => {
-            let index = LabelIndex::build(&graph);
-            if consequence_holds_on(&mut eq, &index, phi, &identity) {
-                DepImpOutcome::Implied(ImpliedVia::Consequence)
-            } else {
-                DepImpOutcome::NotImplied
-            }
-        }
-    };
-    DepImpResult {
-        outcome,
-        stats,
-        metrics,
-    }
-}
-
-/// Does ϕ's consequence hold at the identity match under `eq` over the
-/// indexed graph — literal deducibility or generating-target
-/// realization?
-fn consequence_holds_on<I: gfd_graph::MatchIndex>(
-    eq: &mut EqRel,
-    index: &I,
-    phi: &Dependency,
-    identity: &[NodeId],
-) -> bool {
-    match &phi.consequence {
-        Consequence::Literals(lits) => consequence_lits_deducible(eq, lits),
-        Consequence::Generate(gen) => generate_deducible(eq, index, gen, identity),
-    }
+    chase_imp_with_config(deps, phi, config)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfd_core::{seq_imp, seq_sat, GenerateConsequence, Gfd, GfdSet, Literal};
+    use gfd_core::{seq_imp, seq_sat, Consequence, GenerateConsequence, Gfd, GfdSet, Literal};
     use gfd_graph::{Pattern, ValueId, VarId, Vocab};
 
     fn unary(vocab: &mut Vocab, label: &str) -> Pattern {
@@ -383,6 +305,26 @@ mod tests {
                 && model.attr(n, b) == Some(ValueId::of(7i64))
         });
         assert!(derived, "generated node must cascade into literal rules");
+    }
+
+    /// The chase books the matches it enumerates into the run report,
+    /// on the mixed route and on the literal baseline alike.
+    #[test]
+    fn chase_reports_the_matches_it_enumerates() {
+        let mut vocab = Vocab::new();
+        let mixed = dep_sat_with_config(&chain_deps(&mut vocab), &ChaseConfig::default());
+        let a = vocab.attr("a");
+        let literal = DepSet::from_gfds(GfdSet::from_vec(vec![Gfd::new(
+            "g",
+            unary(&mut vocab, "t"),
+            vec![],
+            vec![Literal::eq_const(VarId::new(0), a, 0i64)],
+        )]));
+        let baseline = crate::sat_chase::chase_sat(&literal);
+        for r in [&mixed, &baseline] {
+            assert!(r.stats.matches_enumerated > 0, "{:?}", r.stats);
+            assert_eq!(r.metrics.matches, r.stats.matches_enumerated);
+        }
     }
 
     #[test]

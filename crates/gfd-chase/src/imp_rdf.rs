@@ -1,90 +1,107 @@
 //! `ChaseImp` — the chase-based implication baseline (the paper's
 //! `ParImpRDF`, following Hellings et al. \[5\] with triple patterns
-//! represented as graphs).
+//! represented as graphs), and the chase arm of
+//! [`crate::ggd::dep_imp_with_config`].
 
-use crate::chase::{chase_to_fixpoint_with_config, ChaseConfig, ChaseOutcome, ChaseStats};
-use gfd_core::{consequence_deducible, CanonicalGraph, Gfd, GfdSet, ImpOutcome, ImpliedVia};
+use crate::chase::{chase_frozen, ChaseConfig, ChaseStats, DepChaseOutcome};
+use crate::ggd::{DepImpOutcome, DepImpResult};
+use gfd_core::{
+    consequence_lits_deducible, generate_deducible, CanonicalGraph, Consequence, DepSet,
+    Dependency, EqRel, ImpliedVia,
+};
+use gfd_graph::{LabelIndex, MatchIndex, NodeId};
 use gfd_runtime::RunMetrics;
-use std::time::{Duration, Instant};
-
-/// Result of a chase-based implication check.
-#[derive(Debug)]
-pub struct ChaseImpResult {
-    /// Implied (with the reason) or not — same answers as `SeqImp`.
-    pub outcome: ImpOutcome,
-    /// Chase counters.
-    pub stats: ChaseStats,
-    /// Unified scheduler metrics, accumulated over all chase rounds.
-    pub metrics: RunMetrics,
-    /// Wall-clock time.
-    pub elapsed: Duration,
-}
-
-impl ChaseImpResult {
-    /// True iff `Σ |= ϕ`.
-    pub fn is_implied(&self) -> bool {
-        matches!(self.outcome, ImpOutcome::Implied(_))
-    }
-}
+use std::time::Instant;
 
 /// Check `Σ |= ϕ` by chasing Σ over `G^X_Q` to fixpoint, then testing the
 /// consequence. No dependency ordering, no inverted index, no intra-round
 /// early exit — the baseline `SeqImp` beats by ~1.4× in Fig. 5.
-pub fn chase_imp(sigma: &GfdSet, phi: &Gfd) -> ChaseImpResult {
-    chase_imp_with_config(sigma, phi, &ChaseConfig::default())
+pub fn chase_imp(deps: &DepSet, phi: &Dependency) -> DepImpResult {
+    chase_imp_with_config(deps, phi, &ChaseConfig::default())
 }
 
 /// [`chase_imp`] with the per-round premise scan dispatched on the
-/// shared scheduler.
-pub fn chase_imp_with_config(sigma: &GfdSet, phi: &Gfd, config: &ChaseConfig) -> ChaseImpResult {
+/// shared scheduler. ϕ's consequence — literal deducibility or
+/// generating-target realization — is tested on the chased result.
+pub fn chase_imp_with_config(
+    deps: &DepSet,
+    phi: &Dependency,
+    config: &ChaseConfig,
+) -> DepImpResult {
     let start = Instant::now();
-    let stats = ChaseStats::default();
-
-    if phi.consequence.is_empty() {
-        return ChaseImpResult {
-            outcome: ImpOutcome::Implied(ImpliedVia::Consequence),
-            stats,
-            metrics: RunMetrics::default(),
+    let zero = |outcome: DepImpOutcome| DepImpResult {
+        outcome,
+        stats: ChaseStats::default(),
+        metrics: RunMetrics {
+            workers: config.workers.max(1),
             elapsed: start.elapsed(),
-        };
+            ..Default::default()
+        },
+    };
+    // Trivial short-circuits mirror `imp_shortcuts`.
+    if matches!(&phi.consequence, Consequence::Literals(lits) if lits.is_empty()) {
+        return zero(DepImpOutcome::Implied(ImpliedVia::Consequence));
     }
-    let (canon, eqx) = match CanonicalGraph::for_phi(phi) {
+    let (canon, eqx) = match CanonicalGraph::for_premise(&phi.pattern, &phi.premise) {
         Ok(pair) => pair,
-        Err(_) => {
-            return ChaseImpResult {
-                outcome: ImpOutcome::Implied(ImpliedVia::PremiseInconsistent),
-                stats,
-                metrics: RunMetrics::default(),
-                elapsed: start.elapsed(),
-            }
-        }
+        Err(_) => return zero(DepImpOutcome::Implied(ImpliedVia::PremiseInconsistent)),
     };
+    let identity: Vec<NodeId> = (0..phi.pattern.node_count()).map(NodeId::new).collect();
+    if consequence_holds_on(&mut eqx.clone(), &canon.index, phi, &identity) {
+        return zero(DepImpOutcome::Implied(ImpliedVia::Consequence));
+    }
 
-    let (outcome, stats, metrics) = chase_to_fixpoint_with_config(sigma, &canon, eqx, config);
+    let (outcome, stats, mut metrics) = chase_frozen(deps, canon, eqx, config);
     let outcome = match outcome {
-        ChaseOutcome::Conflict(c) => ImpOutcome::Implied(ImpliedVia::Conflict(c)),
-        ChaseOutcome::Fixpoint(mut eq) => {
-            if consequence_deducible(&mut eq, phi) {
-                ImpOutcome::Implied(ImpliedVia::Consequence)
+        DepChaseOutcome::Conflict(c) => DepImpOutcome::Implied(ImpliedVia::Conflict(c)),
+        DepChaseOutcome::BudgetExhausted { generated_nodes } => {
+            DepImpOutcome::Unknown { generated_nodes }
+        }
+        DepChaseOutcome::Interrupted(i) => DepImpOutcome::Interrupted(i),
+        DepChaseOutcome::Fixpoint { graph, mut eq } => {
+            let index = LabelIndex::build(&graph);
+            if consequence_holds_on(&mut eq, &index, phi, &identity) {
+                DepImpOutcome::Implied(ImpliedVia::Consequence)
             } else {
-                ImpOutcome::NotImplied
+                DepImpOutcome::NotImplied
             }
         }
-        ChaseOutcome::Interrupted(i) => ImpOutcome::Unknown(i),
     };
-    ChaseImpResult {
+    metrics.elapsed = start.elapsed();
+    DepImpResult {
         outcome,
         stats,
         metrics,
-        elapsed: start.elapsed(),
+    }
+}
+
+/// Does ϕ's consequence hold at the identity match under `eq` over the
+/// indexed graph — literal deducibility or generating-target
+/// realization?
+fn consequence_holds_on<I: MatchIndex>(
+    eq: &mut EqRel,
+    index: &I,
+    phi: &Dependency,
+    identity: &[NodeId],
+) -> bool {
+    match &phi.consequence {
+        Consequence::Literals(lits) => consequence_lits_deducible(eq, lits),
+        Consequence::Generate(gen) => generate_deducible(eq, index, gen, identity),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfd_core::{seq_imp, Literal};
+    use gfd_core::{seq_imp, Gfd, GfdSet, Literal};
     use gfd_graph::{Pattern, VarId, Vocab};
+
+    fn chase(sigma: &GfdSet, phi: &Gfd) -> DepImpResult {
+        chase_imp(
+            &DepSet::from_gfds(sigma.clone()),
+            &Dependency::from_gfd(phi.clone()),
+        )
+    }
 
     /// The Example 8 fixture once more: the chase must agree with SeqImp.
     fn example8() -> (GfdSet, Gfd, Gfd) {
@@ -148,21 +165,21 @@ mod tests {
     fn agrees_with_seq_imp_on_example8() {
         let (sigma, phi13, phi14) = example8();
         assert_eq!(
-            chase_imp(&sigma, &phi13).is_implied(),
+            chase(&sigma, &phi13).is_implied(),
             seq_imp(&sigma, &phi13).is_implied()
         );
         assert_eq!(
-            chase_imp(&sigma, &phi14).is_implied(),
+            chase(&sigma, &phi14).is_implied(),
             seq_imp(&sigma, &phi14).is_implied()
         );
-        assert!(chase_imp(&sigma, &phi13).is_implied());
+        assert!(chase(&sigma, &phi13).is_implied());
     }
 
     #[test]
     fn not_implied_cases_agree() {
         let (sigma, phi13, _) = example8();
         let smaller = GfdSet::from_vec(vec![sigma.as_slice()[0].clone()]);
-        assert!(!chase_imp(&smaller, &phi13).is_implied());
+        assert!(!chase(&smaller, &phi13).is_implied());
         assert!(!seq_imp(&smaller, &phi13).is_implied());
     }
 
@@ -174,7 +191,7 @@ mod tests {
         let x = q.add_node(vocab.label("a"), "x");
         let a = vocab.attr("A");
         let trivial = Gfd::new("t", q.clone(), vec![], vec![]);
-        assert!(chase_imp(&sigma, &trivial).is_implied());
+        assert!(chase(&sigma, &trivial).is_implied());
         let inconsistent = Gfd::new(
             "i",
             q,
@@ -182,8 +199,8 @@ mod tests {
             vec![Literal::eq_const(x, a, 3i64)],
         );
         assert!(matches!(
-            chase_imp(&sigma, &inconsistent).outcome,
-            ImpOutcome::Implied(ImpliedVia::PremiseInconsistent)
+            chase(&sigma, &inconsistent).outcome,
+            DepImpOutcome::Implied(ImpliedVia::PremiseInconsistent)
         ));
     }
 }

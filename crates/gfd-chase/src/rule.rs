@@ -98,7 +98,7 @@ impl RdfFd {
 mod tests {
     use super::*;
     use crate::imp_rdf::chase_imp;
-    use gfd_core::{seq_imp, GfdSet};
+    use gfd_core::{seq_imp, DepSet, Dependency, GfdSet};
 
     /// A functional-property FD: if x --p--> y and x --p--> z then
     /// y.val = z.val (the paper's ϕ2 in RDF form).
@@ -140,6 +140,7 @@ mod tests {
         let mut vocab = Vocab::new();
         let fd = functional_property(&mut vocab);
         let sigma = GfdSet::from_vec(vec![fd.to_gfd(&mut vocab)]);
+        let deps = DepSet::from_gfds(sigma.clone());
         // The same FD with premise/consequence constants:
         // x -p-> y, x -p-> z, y.val = 1 → z.val = 1. Follows from the
         // functional property.
@@ -162,7 +163,7 @@ mod tests {
             consequence: vec![RdfConstraint::ConstEq(2, Value::int(1))],
         }
         .to_gfd(&mut vocab);
-        assert!(chase_imp(&sigma, &derived).is_implied());
+        assert!(chase_imp(&deps, &Dependency::from_gfd(derived.clone())).is_implied());
         assert!(seq_imp(&sigma, &derived).is_implied());
 
         // But a constant out of nowhere does not follow.
@@ -177,7 +178,7 @@ mod tests {
             consequence: vec![RdfConstraint::ConstEq(1, Value::int(9))],
         }
         .to_gfd(&mut vocab);
-        assert!(!chase_imp(&sigma, &bogus).is_implied());
+        assert!(!chase_imp(&deps, &Dependency::from_gfd(bogus)).is_implied());
     }
 
     #[test]

@@ -1,75 +1,58 @@
-//! Chase-based satisfiability baseline.
+//! Chase-based satisfiability: the paper's chase baseline for Sat and
+//! the chase arm of [`crate::ggd::dep_sat_with_config`].
 //!
 //! The paper notes (§VII) that "implementations of the chase are much
-//! slower than SeqSat" — this module provides that comparator: chase Σ
+//! slower than SeqSat" — on a literal Σ this is that comparator: chase Σ
 //! over `GΣ` to fixpoint and report conflicts, without early termination
-//! inside a round, ordering, or pending indexes.
+//! inside a round, ordering, or pending indexes. A Σ with generating
+//! rules materializes their targets under the fresh-node budget.
 
-use crate::chase::{chase_to_fixpoint_with_config, ChaseConfig, ChaseOutcome, ChaseStats};
-use gfd_core::{extract_model, CanonicalGraph, EqRel, GfdSet, SatOutcome};
-use gfd_runtime::RunMetrics;
-use std::time::{Duration, Instant};
-
-/// Result of a chase-based satisfiability check.
-#[derive(Debug)]
-pub struct ChaseSatResult {
-    /// Same answers as `SeqSat`.
-    pub outcome: SatOutcome,
-    /// Chase counters.
-    pub stats: ChaseStats,
-    /// Unified scheduler metrics, accumulated over all chase rounds.
-    pub metrics: RunMetrics,
-    /// Wall-clock time.
-    pub elapsed: Duration,
-}
-
-impl ChaseSatResult {
-    /// True iff Σ was found satisfiable.
-    pub fn is_satisfiable(&self) -> bool {
-        matches!(self.outcome, SatOutcome::Satisfiable(_))
-    }
-}
+use crate::chase::{dep_chase_with_config, ChaseConfig, DepChaseOutcome};
+use crate::ggd::{DepSatOutcome, DepSatResult};
+use gfd_core::{extract_model, DepSet, EqRel};
+use gfd_graph::Graph;
+use std::time::Instant;
 
 /// Check the satisfiability of Σ by chasing `GΣ` to fixpoint with the
 /// default (sequential) configuration.
-pub fn chase_sat(sigma: &GfdSet) -> ChaseSatResult {
-    chase_sat_with_config(sigma, &ChaseConfig::default())
+pub fn chase_sat(deps: &DepSet) -> DepSatResult {
+    chase_sat_with_config(deps, &ChaseConfig::default())
 }
 
 /// Check the satisfiability of Σ by chasing `GΣ` to fixpoint, the
 /// per-round premise scan running on the shared scheduler.
-pub fn chase_sat_with_config(sigma: &GfdSet, config: &ChaseConfig) -> ChaseSatResult {
+pub fn chase_sat_with_config(deps: &DepSet, config: &ChaseConfig) -> DepSatResult {
     let start = Instant::now();
-    if sigma.is_empty() {
-        return ChaseSatResult {
-            outcome: SatOutcome::Satisfiable(Box::new(gfd_graph::Graph::new())),
-            stats: ChaseStats::default(),
-            metrics: RunMetrics::default(),
-            elapsed: start.elapsed(),
-        };
+    // GΣ: the disjoint union of every premise pattern — generating rules
+    // contribute their premise side only; their targets are materialized
+    // by the chase itself.
+    let mut graph = Graph::new();
+    for (_, dep) in deps.iter() {
+        graph.append_disjoint(&dep.pattern.to_graph());
     }
-    let (canon, _) = CanonicalGraph::for_sigma(sigma);
-    let (outcome, stats, metrics) =
-        chase_to_fixpoint_with_config(sigma, &canon, EqRel::new(), config);
+    let (outcome, stats, mut metrics) = dep_chase_with_config(deps, graph, EqRel::new(), config);
     let outcome = match outcome {
-        ChaseOutcome::Conflict(c) => SatOutcome::Unsatisfiable(c),
-        ChaseOutcome::Fixpoint(mut eq) => {
-            SatOutcome::Satisfiable(Box::new(extract_model(&canon.graph, &mut eq)))
+        DepChaseOutcome::Fixpoint { graph, mut eq } => {
+            DepSatOutcome::Satisfiable(Box::new(extract_model(&graph, &mut eq)))
         }
-        ChaseOutcome::Interrupted(i) => SatOutcome::Unknown(i),
+        DepChaseOutcome::Conflict(c) => DepSatOutcome::Unsatisfiable(c),
+        DepChaseOutcome::BudgetExhausted { generated_nodes } => {
+            DepSatOutcome::Unknown { generated_nodes }
+        }
+        DepChaseOutcome::Interrupted(i) => DepSatOutcome::Interrupted(i),
     };
-    ChaseSatResult {
+    metrics.elapsed = start.elapsed();
+    DepSatResult {
         outcome,
         stats,
         metrics,
-        elapsed: start.elapsed(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfd_core::{graph_satisfies_all, seq_sat, Gfd, Literal};
+    use gfd_core::{graph_satisfies_all, seq_sat, Gfd, GfdSet, Literal};
     use gfd_graph::{LabelId, Pattern, VarId, Vocab};
 
     #[test]
@@ -87,20 +70,20 @@ mod tests {
             mk(vec![Literal::eq_const(x, a, 0i64)]),
             mk(vec![Literal::eq_const(x, a, 1i64)]),
         ]);
-        assert!(!chase_sat(&unsat).is_satisfiable());
+        assert!(!chase_sat(&DepSet::from_gfds(unsat.clone())).is_satisfiable());
         assert!(!seq_sat(&unsat).is_satisfiable());
         // Satisfiable singleton, with a model that validates.
         let sat = GfdSet::from_vec(vec![mk(vec![Literal::eq_const(x, a, 0i64)])]);
-        let r = chase_sat(&sat);
+        let r = chase_sat(&DepSet::from_gfds(sat.clone()));
         assert!(r.is_satisfiable());
         match &r.outcome {
-            SatOutcome::Satisfiable(m) => assert!(graph_satisfies_all(m, &sat)),
+            DepSatOutcome::Satisfiable(m) => assert!(graph_satisfies_all(m, &sat)),
             _ => unreachable!(),
         }
     }
 
     #[test]
     fn empty_sigma() {
-        assert!(chase_sat(&GfdSet::new()).is_satisfiable());
+        assert!(chase_sat(&DepSet::new()).is_satisfiable());
     }
 }

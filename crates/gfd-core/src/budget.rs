@@ -17,7 +17,7 @@
 //! limit tripped — a conflict, a witness, a counterexample — is still
 //! returned: budgets bound work, not soundness.
 
-use gfd_runtime::{AbortInfo, Exhaustion, RunOutcome, SchedOptions};
+use gfd_runtime::{AbortInfo, Exhaustion, RunOutcome, SchedOptions, TraceSpec};
 use std::time::{Duration, Instant};
 
 /// Resource limits for one reasoning or detection run. The default is
@@ -66,13 +66,16 @@ impl Budget {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    /// The scheduler-level slice of this budget. Tracing defaults to off;
-    /// drivers overwrite `trace` from their own config before running.
-    pub fn sched_options(&self) -> SchedOptions {
+    /// The scheduler options of one run under this budget: its deadline
+    /// and unit cap, plus the driver's `trace` spec. No unit is retried.
+    /// Every driver builds its options here; the chase narrows
+    /// `max_units` per round to what earlier rounds left.
+    pub fn sched_options(&self, trace: TraceSpec) -> SchedOptions {
         SchedOptions {
             deadline: self.deadline,
             max_units: self.max_units,
-            ..Default::default()
+            unit_retries: 0,
+            trace,
         }
     }
 
@@ -147,7 +150,7 @@ mod tests {
         assert!(b.is_unlimited());
         assert!(!b.expired());
         assert!(b.deadline_slack_ms().is_none());
-        let opts = b.sched_options();
+        let opts = b.sched_options(TraceSpec::disabled());
         assert!(opts.deadline.is_none());
         assert!(opts.max_units.is_none());
     }

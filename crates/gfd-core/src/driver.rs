@@ -590,19 +590,9 @@ pub fn run_reason(
         terminal: Mutex::new(None),
     };
 
-    let mut opts = cfg.budget.sched_options();
-    opts.trace = cfg.trace;
+    let opts = cfg.budget.sched_options(cfg.trace);
     let run = run_scheduler_with(&task, units, p, cfg.dispatch, &stop, opts);
-
-    metrics.trace = run.trace;
-    metrics.units_dispatched = run.units_executed;
-    metrics.units_split = run.units_split;
-    metrics.units_stolen = run.units_stolen;
-    metrics.units_panicked = run.units_panicked;
-    metrics.units_retried = run.units_retried;
-    metrics.worker_busy = run.worker_busy;
-    metrics.worker_idle = run.worker_idle;
-    let mut workers = run.workers;
+    let (mut workers, sched_outcome) = metrics.fold_run(run);
     for w in &workers {
         metrics.matches += w.matches;
         metrics.delta_ops_broadcast += w.ops_sent;
@@ -656,7 +646,7 @@ pub fn run_reason(
     // the fixpoint: its merged state must never be read as a model. Any
     // terminal event found on the way — enforcement is monotone, so a
     // conflict derived from partial work is still definitive — survives.
-    let engine = if terminal.is_none() && Interrupt::from_outcome(&run.outcome).is_some() {
+    let engine = if terminal.is_none() && Interrupt::from_outcome(&sched_outcome).is_some() {
         None
     } else {
         engine
@@ -667,7 +657,7 @@ pub fn run_reason(
     ReasonRun {
         terminal,
         engine,
-        sched_outcome: run.outcome,
+        sched_outcome,
         metrics,
     }
 }

@@ -331,21 +331,13 @@ pub fn detect_units<I: MatchIndex>(
         units_generated: units.len(),
         ..Default::default()
     };
-    let mut opts = config.budget.sched_options();
-    opts.trace = config.trace;
+    let opts = config.budget.sched_options(config.trace);
     let run = run_scheduler_with(&task, units, workers, config.dispatch, &stop, opts);
-    metrics.trace = run.trace;
-    metrics.units_dispatched = run.units_executed;
-    metrics.units_split = run.units_split;
-    metrics.units_stolen = run.units_stolen;
-    metrics.worker_busy = run.worker_busy;
-    metrics.worker_idle = run.worker_idle;
-    metrics.units_panicked = run.units_panicked;
-    metrics.units_retried = run.units_retried;
+    let (locals, outcome) = metrics.fold_run(run);
     metrics.elapsed = start.elapsed();
     metrics.deadline_slack_ms = config.budget.deadline_slack_ms();
-    let interrupted = Interrupt::from_outcome(&run.outcome);
-    merge_report(sigma, run.workers, metrics, config, interrupted)
+    let interrupted = Interrupt::from_outcome(&outcome);
+    merge_report(sigma, locals, metrics, config, interrupted)
 }
 
 /// Sequential reference detector (one worker, same code path). Used by

@@ -407,18 +407,10 @@ fn run_ged(
         units_generated: seed_units.len(),
         ..Default::default()
     };
-    let mut opts = cfg.budget.sched_options();
-    opts.trace = cfg.trace;
+    let opts = cfg.budget.sched_options(cfg.trace);
     let run = run_scheduler_with(&task, seed_units, p, cfg.dispatch, &stop, opts);
-    metrics.trace = run.trace;
-    metrics.units_dispatched = run.units_executed;
-    metrics.units_split = run.units_split;
-    metrics.units_stolen = run.units_stolen;
-    metrics.worker_busy = run.worker_busy;
-    metrics.worker_idle = run.worker_idle;
-    metrics.units_panicked = run.units_panicked;
-    metrics.units_retried = run.units_retried;
-    metrics.branches = run.workers.iter().map(|w| w.branches_explored).sum();
+    let (workers, outcome) = metrics.fold_run(run);
+    metrics.branches = workers.iter().map(|w| w.branches_explored).sum();
     metrics.early_terminated = stop.load(Ordering::Relaxed);
     metrics.elapsed = start.elapsed();
     metrics.deadline_slack_ms = cfg.budget.deadline_slack_ms();
@@ -426,7 +418,7 @@ fn run_ged(
     // Panic aborts outrank budget reasons (the run did not merely run
     // out of resources); the cooperative flags cover exhaustion detected
     // inside a unit, the scheduler outcome covers unit boundaries.
-    let interrupt = Interrupt::from_outcome(&run.outcome)
+    let interrupt = Interrupt::from_outcome(&outcome)
         .or_else(|| {
             task.deadline_exceeded
                 .load(Ordering::Relaxed)

@@ -4,6 +4,7 @@
 //! stats structs and ad-hoc detection atomics): sequential runs populate
 //! the same counters as parallel ones, just with one worker.
 
+use crate::sched::{RunOutcome, SchedRun};
 use gfd_trace::Trace;
 use std::time::Duration;
 
@@ -122,22 +123,40 @@ impl RunMetrics {
         if other.deadline_slack_ms.is_some() {
             self.deadline_slack_ms = other.deadline_slack_ms;
         }
-        if self.worker_busy.len() < other.worker_busy.len() {
-            self.worker_busy
-                .resize(other.worker_busy.len(), Duration::ZERO);
-        }
-        for (acc, d) in self.worker_busy.iter_mut().zip(&other.worker_busy) {
-            *acc += *d;
-        }
-        if self.worker_idle.len() < other.worker_idle.len() {
-            self.worker_idle
-                .resize(other.worker_idle.len(), Duration::ZERO);
-        }
-        for (acc, d) in self.worker_idle.iter_mut().zip(&other.worker_idle) {
-            *acc += *d;
-        }
+        add_per_worker(&mut self.worker_busy, &other.worker_busy);
+        add_per_worker(&mut self.worker_idle, &other.worker_idle);
         self.early_terminated |= other.early_terminated;
         self.trace.merge(&other.trace);
+    }
+
+    /// Fold one scheduler run into these metrics: the single hand-off
+    /// from the scheduler to every driver. Unit counters add, per-worker
+    /// busy/idle times add element-wise (growing the vectors to the run's
+    /// worker count), and the run's trace moves in. Returns the final
+    /// worker states and the outcome, which only the workload can
+    /// interpret.
+    pub fn fold_run<W>(&mut self, run: SchedRun<W>) -> (Vec<W>, RunOutcome) {
+        let SchedRun {
+            workers,
+            outcome,
+            units_executed,
+            units_stolen,
+            units_split,
+            units_panicked,
+            units_retried,
+            worker_busy,
+            worker_idle,
+            trace,
+        } = run;
+        self.units_dispatched += units_executed;
+        self.units_split += units_split;
+        self.units_stolen += units_stolen;
+        self.units_panicked += units_panicked;
+        self.units_retried += units_retried;
+        add_per_worker(&mut self.worker_busy, &worker_busy);
+        add_per_worker(&mut self.worker_idle, &worker_idle);
+        self.trace.append(trace);
+        (workers, outcome)
     }
 
     /// Serialize as a machine-readable JSON object: every counter, the
@@ -194,9 +213,47 @@ impl RunMetrics {
     }
 }
 
+/// Add `other` into `acc` element-wise, extending `acc` with zeros when
+/// `other` covers more workers.
+fn add_per_worker(acc: &mut Vec<Duration>, other: &[Duration]) {
+    if acc.len() < other.len() {
+        acc.resize(other.len(), Duration::ZERO);
+    }
+    for (a, d) in acc.iter_mut().zip(other) {
+        *a += *d;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fold_run_adds_counters_and_grows_worker_vectors() {
+        let ms = Duration::from_millis;
+        let run = |busy: Vec<Duration>| SchedRun {
+            workers: vec![(); busy.len()],
+            outcome: RunOutcome::Completed,
+            units_executed: 3,
+            units_stolen: 1,
+            units_split: 2,
+            units_panicked: 0,
+            units_retried: 0,
+            worker_idle: busy.clone(),
+            worker_busy: busy,
+            trace: Trace::default(),
+        };
+        let mut m = RunMetrics::default();
+        let (workers, outcome) = m.fold_run(run(vec![ms(1)]));
+        assert_eq!((workers.len(), outcome), (1, RunOutcome::Completed));
+        m.fold_run(run(vec![ms(1), ms(2)]));
+        assert_eq!(
+            (m.units_dispatched, m.units_stolen, m.units_split),
+            (6, 2, 4)
+        );
+        assert_eq!(m.worker_busy, vec![ms(2), ms(2)]);
+        assert_eq!(m.worker_idle, vec![ms(2), ms(2)]);
+    }
 
     #[test]
     fn imbalance_of_balanced_run_is_one() {

@@ -368,6 +368,17 @@ impl Trace {
         self.dropped += other.dropped;
     }
 
+    /// [`Trace::merge`] by value: the events move instead of being
+    /// copied.
+    pub fn append(&mut self, other: Trace) {
+        if self.events.is_empty() {
+            self.events = other.events;
+        } else {
+            self.events.extend(other.events);
+        }
+        self.dropped += other.dropped;
+    }
+
     /// Export as a Chrome trace-event JSON document (the `traceEvents`
     /// object form), loadable in `chrome://tracing` / Perfetto.
     ///

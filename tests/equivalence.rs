@@ -5,6 +5,8 @@
 //! two-value pool), so both satisfiable and unsatisfiable sets, and both
 //! implied and non-implied probes, arise naturally.
 
+use gfd::chase::{ChaseConfig, ChaseStats, DepImpOutcome, DepSatOutcome};
+use gfd::graph::GfdId;
 use gfd::prelude::*;
 use proptest::prelude::*;
 
@@ -67,6 +69,27 @@ fn arb_sigma() -> impl Strategy<Value = GfdSet> {
     proptest::collection::vec(arb_gfd(3), 1..5).prop_map(GfdSet::from_vec)
 }
 
+/// The chase counters that must not depend on the worker count.
+fn chase_counts(s: &ChaseStats) -> (u64, u64, u64) {
+    (s.rounds, s.premise_evals, s.matches_enumerated)
+}
+
+/// The rule a chase Sat conflict is attributed to, if any.
+fn sat_conflict_rule(o: &DepSatOutcome) -> Option<Option<GfdId>> {
+    match o {
+        DepSatOutcome::Unsatisfiable(c) => Some(c.gfd),
+        _ => None,
+    }
+}
+
+/// The rule a chase Imp conflict is attributed to, if any.
+fn imp_conflict_rule(o: &DepImpOutcome) -> Option<Option<GfdId>> {
+    match o {
+        DepImpOutcome::Implied(ImpliedVia::Conflict(c)) => Some(c.gfd),
+        _ => None,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(60))]
 
@@ -75,8 +98,13 @@ proptest! {
     #[test]
     fn satisfiability_equivalence(sigma in arb_sigma()) {
         let seq = gfd::seq_sat(&sigma);
-        let chase = gfd::chase_sat(&sigma);
+        let deps = DepSet::from_gfds(sigma.clone());
+        let chase = gfd::chase_sat(&deps);
         prop_assert_eq!(seq.is_satisfiable(), chase.is_satisfiable());
+        // The chase baseline is deterministic across worker counts.
+        let chase2 = gfd::chase::chase_sat_with_config(&deps, &ChaseConfig::with_workers(2));
+        prop_assert_eq!(chase_counts(&chase.stats), chase_counts(&chase2.stats));
+        prop_assert_eq!(sat_conflict_rule(&chase.outcome), sat_conflict_rule(&chase2.outcome));
         let par = gfd::sat_with_config(&sigma, &ReasonConfig::with_workers(2));
         prop_assert_eq!(seq.is_satisfiable(), par.is_satisfiable());
         if let Some(model) = seq.model() {
@@ -93,9 +121,16 @@ proptest! {
     #[test]
     fn implication_equivalence(sigma in arb_sigma(), phi in arb_gfd(3)) {
         let seq = gfd::seq_imp(&sigma, &phi);
-        let chase = gfd::chase_imp(&sigma, &phi);
+        let deps = DepSet::from_gfds(sigma.clone());
+        let dep_phi = Dependency::from_gfd(phi.clone());
+        let chase = gfd::chase_imp(&deps, &dep_phi);
         prop_assert_eq!(seq.is_implied(), chase.is_implied(),
             "seq {:?} vs chase {:?}", seq.outcome, chase.outcome);
+        // The chase baseline is deterministic across worker counts.
+        let chase2 =
+            gfd::chase::chase_imp_with_config(&deps, &dep_phi, &ChaseConfig::with_workers(2));
+        prop_assert_eq!(chase_counts(&chase.stats), chase_counts(&chase2.stats));
+        prop_assert_eq!(imp_conflict_rule(&chase.outcome), imp_conflict_rule(&chase2.outcome));
         let par = gfd::imp_with_config(&sigma, &phi, &ReasonConfig::with_workers(2));
         prop_assert_eq!(seq.is_implied(), par.is_implied(),
             "seq {:?} vs par {:?}", seq.outcome, par.outcome);
@@ -138,6 +173,7 @@ proptest! {
 fn generated_workload_equivalence() {
     for seed in 0..3 {
         let w = gfd::gen::synthetic_workload(25, 4, 3, seed);
+        let deps = DepSet::from_gfds(w.sigma.clone());
         let seq = gfd::seq_sat(&w.sigma);
         assert!(seq.is_satisfiable());
         for p in [1, 3] {
@@ -148,7 +184,10 @@ fn generated_workload_equivalence() {
         for probe in &w.probes {
             let expected = probe.expect_implied;
             assert_eq!(gfd::seq_imp(&w.sigma, &probe.phi).is_implied(), expected);
-            assert_eq!(gfd::chase_imp(&w.sigma, &probe.phi).is_implied(), expected);
+            assert_eq!(
+                gfd::chase_imp(&deps, &Dependency::from_gfd(probe.phi.clone())).is_implied(),
+                expected
+            );
             assert_eq!(
                 gfd::imp_with_config(&w.sigma, &probe.phi, &ReasonConfig::with_workers(2))
                     .is_implied(),

@@ -180,6 +180,11 @@ fn dispatch_and_steal_failpoints_abort_cleanly() {
 /// Chase–Lev deques. Every unit must execute exactly once per round (no
 /// loss, no duplication across lost CAS races), and `units_stolen` must
 /// count only successful claims.
+///
+/// Unit 0 is a gate: it waits until every other unit has run. Worker 0
+/// is dealt units 0, 8, 16, … and pops unit 0 first, so the rest of its
+/// deque can only be run by thieves (or unit 0 itself was stolen).
+/// Every round therefore steals, however the OS schedules the threads.
 #[test]
 fn steal_storm_executes_every_unit_exactly_once() {
     let _g = serial();
@@ -191,7 +196,16 @@ fn steal_storm_executes_every_unit_exactly_once() {
         type Unit = u32;
         type Worker = ();
         fn worker(&self, _id: usize) -> Self::Worker {}
-        fn run_unit(&self, _w: &mut Self::Worker, _unit: u32, _ctx: &WorkerCtx<'_, u32>) {
+        fn run_unit(&self, _w: &mut Self::Worker, unit: u32, _ctx: &WorkerCtx<'_, u32>) {
+            if unit == 0 {
+                // The bound only keeps a broken scheduler from hanging
+                // the suite; the assertions below then fail.
+                let gate = std::time::Instant::now() + Duration::from_secs(30);
+                while self.executed.load(Ordering::SeqCst) < 511 && std::time::Instant::now() < gate
+                {
+                    std::thread::yield_now();
+                }
+            }
             self.executed.fetch_add(1, Ordering::SeqCst);
         }
         fn describe_unit(&self, unit: &u32) -> String {

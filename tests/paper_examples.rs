@@ -102,7 +102,7 @@ fn example2_first_pair_unsatisfiable() {
     .unwrap()
     .gfds;
     assert!(!gfd::seq_sat(&sigma).is_satisfiable());
-    assert!(!gfd::chase_sat(&sigma).is_satisfiable());
+    assert!(!gfd::chase_sat(&DepSet::from_gfds(sigma.clone())).is_satisfiable());
     assert!(!gfd::sat_with_config(&sigma, &ReasonConfig::with_workers(2)).is_satisfiable());
 }
 
@@ -149,7 +149,7 @@ fn example2_distinct_pattern_interaction_unsatisfiable() {
     // …but together they conflict (Q7 maps into Q6's canonical copy).
     assert!(!gfd::seq_sat(&sigma).is_satisfiable());
     assert!(!gfd::sat_with_config(&sigma, &ReasonConfig::with_workers(3)).is_satisfiable());
-    assert!(!gfd::chase_sat(&sigma).is_satisfiable());
+    assert!(!gfd::chase_sat(&DepSet::from_gfds(sigma.clone())).is_satisfiable());
 }
 
 #[test]
@@ -208,7 +208,7 @@ fn example4_pending_recheck_chain() {
             "p={p}"
         );
     }
-    assert!(!gfd::chase_sat(&sigma).is_satisfiable());
+    assert!(!gfd::chase_sat(&DepSet::from_gfds(sigma.clone())).is_satisfiable());
 }
 
 /// The Example 8 sources, shared by the implication tests.
@@ -290,14 +290,26 @@ fn example8_implication_both_ways() {
             "p={p}"
         );
     }
-    assert!(gfd::chase_imp(&sigma, &phi13).is_implied());
-    assert!(gfd::chase_imp(&sigma, &phi14).is_implied());
+    assert!(gfd::chase_imp(
+        &DepSet::from_gfds(sigma.clone()),
+        &Dependency::from_gfd(phi13.clone())
+    )
+    .is_implied());
+    assert!(gfd::chase_imp(
+        &DepSet::from_gfds(sigma.clone()),
+        &Dependency::from_gfd(phi14.clone())
+    )
+    .is_implied());
 
     // Neither rule alone implies ϕ13 (the interaction is essential).
     for i in 0..2 {
         let single = GfdSet::from_vec(vec![sigma.as_slice()[i].clone()]);
         assert!(!gfd::seq_imp(&single, &phi13).is_implied());
-        assert!(!gfd::chase_imp(&single, &phi13).is_implied());
+        assert!(!gfd::chase_imp(
+            &DepSet::from_gfds(single.clone()),
+            &Dependency::from_gfd(phi13.clone())
+        )
+        .is_implied());
     }
 }
 

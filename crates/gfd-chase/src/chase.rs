@@ -10,10 +10,10 @@
 //! the comparison in Fig. 5 and Fig. 6(f).
 //!
 //! Each round's **premise scan** runs as a [`Task`] on the shared
-//! `gfd-runtime` work-stealing scheduler: the cached match lists are
-//! chunked into scan units, every worker evaluates premises against its
-//! own clone of the round-start relation (premise evaluation only
-//! path-compresses, so a clone is semantically inert), and the fired
+//! `gfd-runtime` work-stealing scheduler: each rule's live match
+//! indices are chunked into scan units, every worker evaluates premises
+//! against its own clone of the round-start relation (premise evaluation
+//! only path-compresses, so a clone is semantically inert), and the fired
 //! `(rule, match)` pairs are applied **in deterministic order** between
 //! rounds. A premise that a mid-round enforcement would have unlocked
 //! simply fires one round later — the fixpoint (and any conflict) is
@@ -26,6 +26,15 @@
 //! a generating rule plans its firings on the scheduler and commits them
 //! through the conflict partition ([`dep_chase_with_config`], DESIGN.md
 //! §12).
+//!
+//! A set with a generating rule is also chased *semi-naively*: every
+//! `(rule, match)` fires at most once, literal and generating rules
+//! alike. The chase is monotone, so a committed firing that fired again
+//! would change nothing; once a match has fired it leaves its rule's
+//! live list and is never premise-scanned, planned or committed again
+//! (the spent-match ledger, DESIGN.md §12.5). The literal-only baseline
+//! keeps the naive rescan, because that rescan is what the paper
+//! measures.
 
 use gfd_core::{
     eval_premise_lits, generate_deducible, Budget, CanonicalGraph, Conflict, Consequence, DepSet,
@@ -147,7 +156,10 @@ impl ChaseConfig {
 pub struct ChaseStats {
     /// Fixpoint rounds executed.
     pub rounds: u64,
-    /// Premise evaluations across all rounds (the re-scanning overhead).
+    /// Premise evaluations across all rounds. The literal baseline
+    /// re-evaluates every cached match every round (the re-scanning
+    /// overhead the paper measures); a generating set evaluates a match
+    /// only until it fires, so spent matches are not re-counted.
     pub premise_evals: u64,
     /// Matches enumerated. Match lists are cached per rule and counted
     /// once per enumeration; generating rules force a re-enumeration
@@ -161,11 +173,17 @@ pub struct ChaseStats {
     /// Firings committed by splicing a concurrently-built patch — the
     /// parallel-independent set of the conflict partition (DESIGN.md
     /// §12.2). Zero for the literal baseline (a set with no generating
-    /// rule), whose rounds have nothing to plan and commit serially.
+    /// rule), whose rounds have nothing to plan and commit serially. In a
+    /// generating set each `(rule, match)` is committed at most once, so
+    /// `apply_independent + apply_conflicts` counts distinct firings, and
+    /// the conflict ratio `apply_conflicts / (apply_independent +
+    /// apply_conflicts)` is higher than a naive rescan would report: its
+    /// denominator no longer counts no-op re-fires.
     pub apply_independent: u64,
     /// Firings committed serially: those whose touched classes or nodes
     /// overlapped an earlier firing of the same round, replayed through
-    /// the serial fallback, plus every firing of the literal baseline.
+    /// the serial fallback, plus every firing of the literal baseline
+    /// (which re-commits a fired match every round it still fires).
     pub apply_conflicts: u64,
     /// Wall time spent in premise scans, across all rounds.
     pub scan_time: Duration,
@@ -195,7 +213,81 @@ fn apply_literals(eq: &mut EqRel, lits: &[Literal], m: &[NodeId]) -> Result<bool
     Ok(changed)
 }
 
-/// A contiguous slice of one rule's cached match list.
+/// Split `0..len` into consecutive ranges of at most `batch` items (a
+/// zero batch counts as one): the initial units of a scan or planning
+/// pass.
+fn chunks(len: usize, batch: usize) -> impl Iterator<Item = (u32, u32)> {
+    let batch = batch.max(1);
+    (0..len)
+        .step_by(batch)
+        .map(move |start| (start as u32, (start + batch).min(len) as u32))
+}
+
+/// The straggler split of a unit cut short at `next`: the rest of its
+/// range, `next..end`, offered in two halves (the back half is what an
+/// idle worker will steal).
+fn halves(next: u32, end: u32) -> [(u32, u32); 2] {
+    let mid = next + (end - next) / 2;
+    [(next, mid), (mid, end)]
+}
+
+/// Each rule's cached matches over the current frozen topology, with the
+/// spent-match ledger of a generating chase (DESIGN.md §12.5).
+struct MatchLists {
+    /// Per rule, the matches of the current enumeration.
+    all: Vec<Vec<Match>>,
+    /// Per rule, the ascending indices into `all` of the live matches:
+    /// those that have not fired yet. The literal baseline retires none.
+    live: Vec<Vec<u32>>,
+    /// Per rule, spent matches of an earlier enumeration that no
+    /// re-enumeration has found again yet.
+    carried: Vec<FxHashSet<Match>>,
+}
+
+impl MatchLists {
+    fn new(rules: usize) -> Self {
+        MatchLists {
+            all: vec![Vec::new(); rules],
+            live: vec![Vec::new(); rules],
+            carried: vec![FxHashSet::default(); rules],
+        }
+    }
+
+    /// Re-enumerate every rule's matches over `canon`; returns how many
+    /// were enumerated. Spent identity carries over: the spent matches of
+    /// the old lists move (uncloned) into `carried`, and a re-enumerated
+    /// match found there is spent again rather than live.
+    fn enumerate(&mut self, deps: &DepSet, canon: &CanonicalGraph) -> u64 {
+        let mut enumerated = 0;
+        for (rule, (_, dep)) in deps.iter().enumerate() {
+            let carried = &mut self.carried[rule];
+            let mut live = self.live[rule].iter().copied().peekable();
+            for (idx, m) in std::mem::take(&mut self.all[rule]).into_iter().enumerate() {
+                if live.next_if_eq(&(idx as u32)).is_none() {
+                    carried.insert(m);
+                }
+            }
+            let ms = find_all_matches(&canon.graph, &canon.index, &dep.pattern);
+            enumerated += ms.len() as u64;
+            self.live[rule] = (0..ms.len() as u32)
+                .filter(|&idx| carried.is_empty() || !carried.remove(&ms[idx as usize]))
+                .collect();
+            self.all[rule] = ms;
+        }
+        enumerated
+    }
+
+    /// Retire a round's fired `(rule, match index)` pairs (sorted, each
+    /// one live) from the live lists.
+    fn retire(&mut self, fired: &[(u32, u32)]) {
+        for group in fired.chunk_by(|a, b| a.0 == b.0) {
+            let mut spent = group.iter().map(|&(_, idx)| idx).peekable();
+            self.live[group[0].0 as usize].retain(|&idx| spent.next_if_eq(&idx).is_none());
+        }
+    }
+}
+
+/// A contiguous slice of one rule's live match indices.
 #[derive(Clone, Copy)]
 struct ScanUnit {
     rule: u32,
@@ -218,7 +310,7 @@ struct ScanWorker {
 /// irrelevant until the apply phase.
 struct ScanTask<'a> {
     premises: &'a [&'a [Literal]],
-    matches: &'a [Vec<Match>],
+    lists: &'a MatchLists,
     snapshot: &'a EqRel,
     ttl: Duration,
 }
@@ -240,33 +332,25 @@ impl Task for ScanTask<'_> {
         let evals0 = w.premise_evals;
         let fired0 = w.fired.len() as u64;
         let premise = self.premises[unit.rule as usize];
-        let list = &self.matches[unit.rule as usize];
+        let list = &self.lists.all[unit.rule as usize];
+        let live = &self.lists.live[unit.rule as usize];
         let deadline = Instant::now() + self.ttl;
-        for idx in unit.start..unit.end {
+        for pos in unit.start..unit.end {
+            let idx = live[pos as usize];
             w.premise_evals += 1;
             if let PremiseStatus::Satisfied =
                 eval_premise_lits(&mut w.eq, premise, &list[idx as usize])
             {
                 w.fired.push((unit.rule, idx));
             }
-            // Straggler: offer the rest of the range in two halves (the
-            // back half is what an idle worker will steal).
-            let next = idx + 1;
+            let next = pos + 1;
             if next < unit.end && Instant::now() >= deadline {
-                let mid = next + (unit.end - next) / 2;
-                let mut rest = vec![ScanUnit {
-                    rule: unit.rule,
-                    start: next,
-                    end: mid,
-                }];
-                if mid < unit.end {
-                    rest.push(ScanUnit {
-                        rule: unit.rule,
-                        start: mid,
-                        end: unit.end,
-                    });
-                }
-                ctx.split(rest);
+                let rule = unit.rule;
+                ctx.split(
+                    halves(next, unit.end)
+                        .map(|(start, end)| ScanUnit { rule, start, end })
+                        .into(),
+                );
                 break;
             }
         }
@@ -456,22 +540,13 @@ impl<I: MatchIndex> Task for ApplyTask<'_, I> {
                 }
             };
             w.plans.push((i, plan));
-            // Straggler: offer the rest of the range in two halves, as
-            // the scan does.
             let next = i + 1;
             if next < unit.end && Instant::now() >= deadline {
-                let mid = next + (unit.end - next) / 2;
-                let mut rest = vec![ApplyUnit {
-                    start: next,
-                    end: mid,
-                }];
-                if mid < unit.end {
-                    rest.push(ApplyUnit {
-                        start: mid,
-                        end: unit.end,
-                    });
-                }
-                ctx.split(rest);
+                ctx.split(
+                    halves(next, unit.end)
+                        .map(|(start, end)| ApplyUnit { start, end })
+                        .into(),
+                );
                 return;
             }
         }
@@ -493,17 +568,9 @@ fn plan_round<I: MatchIndex>(
     stats: &mut ChaseStats,
     metrics: &mut RunMetrics,
 ) -> Result<(Vec<FiringPlan>, EqRel), Interrupt> {
-    let batch = config.batch.max(1);
-    let mut units: Vec<ApplyUnit> = Vec::new();
-    let mut start = 0usize;
-    while start < pending.len() {
-        let end = (start + batch).min(pending.len());
-        units.push(ApplyUnit {
-            start: start as u32,
-            end: end as u32,
-        });
-        start = end;
-    }
+    let units: Vec<ApplyUnit> = chunks(pending.len(), config.batch)
+        .map(|(start, end)| ApplyUnit { start, end })
+        .collect();
     let stop = AtomicBool::new(false);
     let task = ApplyTask {
         deps,
@@ -611,7 +678,7 @@ fn partition_independent(plans: &[FiringPlan], probe: &mut EqRel) -> Vec<bool> {
 /// sequential scan's order, whatever the worker interleaving was).
 fn scan_round(
     premises: &[&[Literal]],
-    all_matches: &[Vec<Match>],
+    lists: &MatchLists,
     snapshot: &EqRel,
     config: &ChaseConfig,
     p: usize,
@@ -619,24 +686,17 @@ fn scan_round(
     metrics: &mut RunMetrics,
 ) -> (Vec<(u32, u32)>, Option<Interrupt>) {
     let scan_start = Instant::now();
-    let batch = config.batch.max(1);
     let mut units: Vec<ScanUnit> = Vec::new();
-    for (rule, list) in all_matches.iter().enumerate() {
-        let mut start = 0usize;
-        while start < list.len() {
-            let end = (start + batch).min(list.len());
-            units.push(ScanUnit {
-                rule: rule as u32,
-                start: start as u32,
-                end: end as u32,
-            });
-            start = end;
-        }
+    for (rule, live) in lists.live.iter().enumerate() {
+        let rule = rule as u32;
+        units.extend(
+            chunks(live.len(), config.batch).map(|(start, end)| ScanUnit { rule, start, end }),
+        );
     }
     let stop = AtomicBool::new(false);
     let task = ScanTask {
         premises,
-        matches: all_matches,
+        lists,
         snapshot,
         ttl: config.ttl,
     };
@@ -692,21 +752,23 @@ pub enum DepChaseOutcome {
 ///   every generating firing's *realization* is checked against the
 ///   **round-start** topology and relation snapshot — checks are
 ///   read-only, so they are all independent by construction — and every
-///   firing's mutation buffer (`Patch`) is built concurrently. A
-///   `(rule, match)` key fires at most once across rounds. The
-///   **deterministic commit walk** then runs in sorted `(rule, match
-///   index)` order: the greedy conflict partition (DESIGN.md §12.2)
-///   splits the round into the parallel-independent set — disjoint
-///   touched equivalence classes, premise nodes, and fresh-node ranges,
-///   whose patches provably commute and are spliced directly — and the
-///   conflicting residual, which replays the fully serial apply. Because
+///   firing's mutation buffer (`Patch`) is built concurrently. Every
+///   `(rule, match)` key of such a set, literal or generating, fires at
+///   most once across rounds: a fired match is spent and leaves the
+///   scan (DESIGN.md §12.5). The **deterministic commit walk** then runs
+///   in sorted `(rule, match index)` order: the greedy conflict partition
+///   (DESIGN.md §12.2) splits the round into the parallel-independent set
+///   — disjoint touched equivalence classes, premise nodes, and
+///   fresh-node ranges, whose patches provably commute and are spliced
+///   directly — and the conflicting residual, which replays the fully
+///   serial apply. Because
 ///   the walk order equals the serial order, node ids, conflict
 ///   attribution, and budget cut points are byte-identical to the serial
 ///   chase at every worker count.
 ///
 /// When a round materialized topology, the graph is re-frozen and
-/// matches are re-enumerated before the next round; fixpoint is reached
-/// when a round applies nothing new.
+/// matches are re-enumerated before the next round (spent matches stay
+/// spent); fixpoint is reached when a round applies nothing new.
 pub fn dep_chase_with_config(
     deps: &DepSet,
     graph0: Graph,
@@ -743,12 +805,9 @@ pub(crate) fn chase_frozen(
         .map(|d| d.premise.as_slice())
         .collect();
     // Decided once per chase: without a generating rule no round has
-    // anything to plan.
+    // anything to plan, and no fired match is retired.
     let generating = deps.has_generating();
-    // A generating firing's identity: once materialized (or found
-    // realized), the same `(rule, match)` never fires again.
-    type FiredKey = (u32, Match);
-    let mut fired_gen: FxHashSet<FiredKey> = FxHashSet::default();
+    let mut lists = MatchLists::new(deps.len());
 
     let ctl = ControlTrace::new(config.trace);
     let done = |outcome: DepChaseOutcome, stats: ChaseStats, mut metrics: RunMetrics| {
@@ -762,12 +821,7 @@ pub(crate) fn chase_frozen(
 
     'rebuild: loop {
         // Enumerate premise matches over the current frozen topology.
-        let mut all_matches: Vec<Vec<Match>> = Vec::with_capacity(deps.len());
-        for (_, dep) in deps.iter() {
-            let ms = find_all_matches(&canon.graph, &canon.index, &dep.pattern);
-            stats.matches_enumerated += ms.len() as u64;
-            all_matches.push(ms);
-        }
+        stats.matches_enumerated += lists.enumerate(deps, &canon);
 
         loop {
             // Round boundary: the cooperative deadline check the
@@ -782,15 +836,8 @@ pub(crate) fn chase_frozen(
             stats.rounds += 1;
             let round = stats.rounds as u32;
             let round_span = ctl.start();
-            let (fired, interrupt) = scan_round(
-                &premises,
-                &all_matches,
-                &eq,
-                config,
-                p,
-                &mut stats,
-                &mut metrics,
-            );
+            let (fired, interrupt) =
+                scan_round(&premises, &lists, &eq, config, p, &mut stats, &mut metrics);
             if let Some(interrupt) = interrupt {
                 // A degraded scan saw only part of this round's premises;
                 // claiming a fixpoint (or applying a partial round) would
@@ -811,38 +858,20 @@ pub(crate) fn chase_frozen(
             let independent0 = stats.apply_independent;
             let conflicts0 = stats.apply_conflicts;
             let (apply_start, commit_span, committed) = if generating {
-                // Pending firings: literal consequences as-is, generating
-                // firings deduped against every earlier round (a (rule,
-                // match) key fires at most once). Within a round every
-                // match index is distinct, so the round cannot collide
-                // with itself.
-                let mut pending: Vec<(u32, u32)> = Vec::with_capacity(fired.len());
-                for &(rule, idx) in &fired {
-                    match &deps.as_slice()[rule as usize].consequence {
-                        Consequence::Literals(_) => pending.push((rule, idx)),
-                        Consequence::Generate(_) => {
-                            let key: FiredKey =
-                                (rule, all_matches[rule as usize][idx as usize].clone());
-                            if fired_gen.insert(key) {
-                                pending.push((rule, idx));
-                            }
-                        }
-                    }
-                }
-
-                // Planning pass (on the scheduler), then the greedy
-                // partition into the parallel-independent set and the
-                // conflicting residual.
+                // Every fired match is live, so it has never fired before:
+                // the whole round is pending. Planning pass (on the
+                // scheduler), then the greedy partition into the
+                // parallel-independent set and the conflicting residual.
                 let apply_start = Instant::now();
                 let plan_span = ctl.start();
                 let checks0 = stats.realization_checks;
-                let (plans, independent) = if pending.is_empty() {
+                let (plans, independent) = if fired.is_empty() {
                     (Vec::new(), Vec::new())
                 } else {
                     match plan_round(
                         deps,
-                        &all_matches,
-                        &pending,
+                        &lists.all,
+                        &fired,
                         &canon.index,
                         &eq,
                         config,
@@ -863,14 +892,14 @@ pub(crate) fn chase_frozen(
                     EventKind::ApplyPlan,
                     round,
                     plan_span,
-                    pending.len() as u64,
+                    fired.len() as u64,
                     stats.realization_checks - checks0,
                 );
                 let commit_span = ctl.start();
                 let committed = commit_planned(
                     deps,
-                    &all_matches,
-                    &pending,
+                    &lists.all,
+                    &fired,
                     &plans,
                     &independent,
                     &mut canon.graph,
@@ -878,11 +907,13 @@ pub(crate) fn chase_frozen(
                     config,
                     &mut stats,
                 );
+                // Spent: a committed firing is a no-op ever after.
+                lists.retire(&fired);
                 (apply_start, commit_span, committed)
             } else {
                 let apply_start = Instant::now();
                 let commit_span = ctl.start();
-                let committed = commit_serial(deps, &all_matches, &fired, &mut eq, &mut stats)
+                let committed = commit_serial(deps, &lists.all, &fired, &mut eq, &mut stats)
                     .map_err(DepChaseOutcome::Conflict);
                 (apply_start, commit_span, committed)
             };
@@ -917,7 +948,8 @@ pub(crate) fn chase_frozen(
             }
             if canon.graph.topology_version() != topo_before {
                 // Materialization grew the graph: matches (and the frozen
-                // index the realization check probes) are stale.
+                // index the realization check probes) are stale. Matches
+                // only ever gain, so every spent match is re-enumerated.
                 canon = CanonicalGraph::from_graph(std::mem::take(&mut canon.graph));
                 continue 'rebuild;
             }
@@ -1084,6 +1116,29 @@ mod tests {
         // measures.
         assert!(stats.rounds >= 3, "rounds = {}", stats.rounds);
         assert!(stats.premise_evals > stats.matches_enumerated);
+    }
+
+    /// The literal baseline stays naive — it is the paper's comparator:
+    /// every round re-evaluates all 9 cached matches (3 rules × 3 `t`
+    /// nodes of `GΣ`) and re-commits every match that fires, including
+    /// the round that finds nothing new.
+    #[test]
+    fn literal_baseline_rescans_every_match_every_round() {
+        let mut vocab = Vocab::new();
+        let deps = DepSet::from_gfds(chain_sigma(&mut vocab));
+        for p in [1usize, 2] {
+            let r = chase_sat_with_config(&deps, &ChaseConfig::with_workers(p));
+            assert!(r.is_satisfiable(), "p={p}");
+            let s = r.stats;
+            assert_eq!(
+                (s.rounds, s.premise_evals, s.matches_enumerated),
+                (4, 36, 9),
+                "p={p}"
+            );
+            // Firings per round: 3, 6, 9, 9 — all serial, none planned.
+            assert_eq!((s.apply_independent, s.apply_conflicts), (0, 27), "p={p}");
+            assert_eq!((s.generated_nodes, s.realization_checks), (0, 0), "p={p}");
+        }
     }
 
     #[test]

@@ -524,13 +524,19 @@ mod tests {
         assert_eq!(e.pending_count(), 1);
         // A "remote" worker bound a=1.
         let base = e.delta_len();
-        e.apply_remote_ops(&sigma, &[EqOp::Bind((NodeId::new(0), a), ValueId::of(1i64))])
-            .unwrap();
+        e.apply_remote_ops(
+            &sigma,
+            &[EqOp::Bind((NodeId::new(0), a), ValueId::of(1i64))],
+        )
+        .unwrap();
         assert!(e.eq.deduces_const((NodeId::new(0), b), ValueId::of(1)));
         // The local consequence (b=1) is recorded for further broadcast,
         // the remote op itself is not re-recorded.
         let newly: Vec<_> = e.delta_since(base).to_vec();
-        assert_eq!(newly, vec![EqOp::Bind((NodeId::new(0), b), ValueId::of(1i64))]);
+        assert_eq!(
+            newly,
+            vec![EqOp::Bind((NodeId::new(0), b), ValueId::of(1i64))]
+        );
     }
 
     #[test]

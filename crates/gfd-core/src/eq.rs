@@ -303,32 +303,42 @@ impl EqRel {
     }
 
     /// Enumerate all classes as `(bound constant, member keys)`, members in
-    /// insertion order. Used for model extraction.
+    /// insertion order, classes sorted by their first member.
     pub fn classes(&mut self) -> Vec<(Option<ValueId>, Vec<AttrKey>)> {
-        let mut by_root: FxHashMap<u32, Vec<AttrKey>> = FxHashMap::default();
-        for i in 0..self.keys.len() {
-            let r = self.find(i as u32);
-            by_root.entry(r).or_default().push(self.keys[i]);
-        }
-        let mut out: Vec<(Option<ValueId>, Vec<AttrKey>)> = by_root
-            .into_iter()
-            .map(|(r, members)| (self.constant[r as usize], members))
-            .collect();
-        // Deterministic order for reproducible models.
-        out.sort_by_key(|(_, members)| members[0]);
-        out
+        self.group_classes(false)
     }
 
     /// Like [`EqRel::classes`], but keeping only materialized keys (and
     /// dropping classes left empty). This is what model extraction
     /// populates: latent keys impose no existence requirement.
     pub fn materialized_classes(&mut self) -> Vec<(Option<ValueId>, Vec<AttrKey>)> {
-        let mut classes = self.classes();
-        classes.retain_mut(|(_, members)| {
-            members.retain(|&k| self.is_materialized(k));
-            !members.is_empty()
-        });
-        classes
+        self.group_classes(true)
+    }
+
+    /// One walk over the slots, grouping keys by root through a table
+    /// indexed by root slot. With `materialized_only`, latent slots are
+    /// skipped; a latent key is always a singleton class, so skipping it
+    /// drops exactly the classes it would leave empty, and the order of
+    /// the remaining classes is the order [`EqRel::classes`] gives them.
+    fn group_classes(&mut self, materialized_only: bool) -> Vec<(Option<ValueId>, Vec<AttrKey>)> {
+        const NONE: u32 = u32::MAX;
+        let mut class_of_root = vec![NONE; self.keys.len()];
+        let mut out: Vec<(Option<ValueId>, Vec<AttrKey>)> = Vec::new();
+        for i in 0..self.keys.len() {
+            if materialized_only && !self.materialized[i] {
+                continue;
+            }
+            let r = self.find(i as u32) as usize;
+            if class_of_root[r] == NONE {
+                class_of_root[r] = out.len() as u32;
+                out.push((self.constant[r], Vec::new()));
+            }
+            out[class_of_root[r] as usize].1.push(self.keys[i]);
+        }
+        // Deterministic order for reproducible models. First members are
+        // distinct keys, so an unstable sort is deterministic too.
+        out.sort_unstable_by_key(|(_, members)| members[0]);
+        out
     }
 
     /// Number of classes currently bound to a constant.
@@ -487,6 +497,72 @@ mod tests {
         assert_eq!(classes[0].0, None);
         assert_eq!(classes[1].0, Some(ValueId::of(1)));
         assert_eq!(eq.bound_class_count(), 1);
+    }
+
+    /// The definition the one-walk grouping replaced: a hash map from
+    /// root to members over every key, sorted by first member, then (for
+    /// the materialized variant) a per-key filter.
+    fn classes_by_hash_map(
+        eq: &mut EqRel,
+        materialized_only: bool,
+    ) -> Vec<(Option<ValueId>, Vec<AttrKey>)> {
+        let mut by_root: FxHashMap<u32, Vec<AttrKey>> = FxHashMap::default();
+        for i in 0..eq.keys.len() {
+            let r = eq.find(i as u32);
+            by_root.entry(r).or_default().push(eq.keys[i]);
+        }
+        let mut out: Vec<(Option<ValueId>, Vec<AttrKey>)> = by_root
+            .into_iter()
+            .map(|(r, members)| (eq.constant[r as usize], members))
+            .collect();
+        out.sort_by_key(|(_, members)| members[0]);
+        if materialized_only {
+            out.retain_mut(|(_, members)| {
+                members.retain(|&k| eq.is_materialized(k));
+                !members.is_empty()
+            });
+        }
+        out
+    }
+
+    #[test]
+    fn class_walk_matches_the_hash_map_grouping() {
+        for seed in 0..200u64 {
+            // SplitMix64: a fixed op sequence per seed.
+            let mut state = seed;
+            let mut next = |bound: u64| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                ((z ^ (z >> 31)) % bound) as usize
+            };
+            let mut eq = EqRel::new();
+            for step in 0..60 {
+                let key = k(next(12), next(3));
+                // Conflicts are expected; the relation stays valid.
+                match next(5) {
+                    0 => {
+                        eq.ensure(key);
+                    }
+                    1 => {
+                        eq.class_id(key);
+                    }
+                    2 => {
+                        let _ = eq.bind(key, ValueId::of(next(3) as i64));
+                    }
+                    _ => {
+                        let _ = eq.merge(key, k(next(12), next(3)));
+                    }
+                }
+                if step % 15 == 14 {
+                    let want = classes_by_hash_map(&mut eq, false);
+                    assert_eq!(eq.classes(), want, "seed {seed} step {step}");
+                    let want = classes_by_hash_map(&mut eq, true);
+                    assert_eq!(eq.materialized_classes(), want, "seed {seed} step {step}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -565,9 +565,7 @@ impl<'v> Parser<'v> {
                         )
                     }
                 }
-                _ => {
-                    GedLiteral::cmp_id(var, self.vocab.attr(&attr_name), op, self.parse_value()?)
-                }
+                _ => GedLiteral::cmp_id(var, self.vocab.attr(&attr_name), op, self.parse_value()?),
             };
             lits.push(lit);
             if self.peek() == Some(&Token::Comma) {

@@ -235,10 +235,7 @@ mod tests {
         let b: NodeSet = [5usize, 64, 300].into_iter().map(NodeId::new).collect();
         let mut i = a.clone();
         assert_eq!(i.intersect_with(&b), 2);
-        assert_eq!(
-            i.iter().map(|n| n.index()).collect::<Vec<_>>(),
-            vec![5, 64]
-        );
+        assert_eq!(i.iter().map(|n| n.index()).collect::<Vec<_>>(), vec![5, 64]);
         let mut d = a.clone();
         assert_eq!(d.difference_with(&b), 3);
         assert_eq!(

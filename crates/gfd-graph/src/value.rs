@@ -498,8 +498,7 @@ mod tests {
                 })
             })
             .collect();
-        let results: Vec<Vec<ValueId>> =
-            handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let results: Vec<Vec<ValueId>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         for w in &results[1..] {
             assert_eq!(*w, results[0]);
         }

@@ -83,13 +83,7 @@ pub trait TopologyView: Sync {
     /// with a monomorphic loop: the bitset anchor fold pays one dynamic
     /// call per streamed edge through `try_for_matching`, which is the
     /// dominant cost of folding a fat hub adjacency (DESIGN.md §15).
-    fn collect_matching_into(
-        &self,
-        v: NodeId,
-        dir: Dir,
-        label: LabelId,
-        set: &mut crate::NodeSet,
-    ) {
+    fn collect_matching_into(&self, v: NodeId, dir: Dir, label: LabelId, set: &mut crate::NodeSet) {
         let _ = self.try_for_matching(v, dir, label, &mut |(_, n)| {
             set.insert(n);
             ControlFlow::Continue(())
@@ -165,13 +159,7 @@ impl TopologyView for CsrTopology {
         ControlFlow::Continue(())
     }
 
-    fn collect_matching_into(
-        &self,
-        v: NodeId,
-        dir: Dir,
-        label: LabelId,
-        set: &mut crate::NodeSet,
-    ) {
+    fn collect_matching_into(&self, v: NodeId, dir: Dir, label: LabelId, set: &mut crate::NodeSet) {
         let slice = match dir {
             Dir::Out => self.out_matching(v, label),
             Dir::In => self.in_matching(v, label),

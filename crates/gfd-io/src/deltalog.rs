@@ -382,8 +382,7 @@ attr 4 verified=true
             })
             .collect();
         assert_eq!(ids.len(), 100);
-        let distinct: std::collections::BTreeSet<u32> =
-            ids.iter().map(|v| v.raw()).collect();
+        let distinct: std::collections::BTreeSet<u32> = ids.iter().map(|v| v.raw()).collect();
         assert_eq!(distinct.len(), 2, "two distinct strings, two table entries");
         assert_eq!(ValueTable::lookup_str(city), Some(ValueId::of(city)));
         // A second replay resolves to the very same ids: the table is

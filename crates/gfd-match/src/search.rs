@@ -310,7 +310,9 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
             }
             for (v, dir, label) in probes {
                 view.collect_matching_into(v, dir, label, &mut self.scratch_adj);
-                let left = self.scratch_cand.intersect_with_drain(&mut self.scratch_adj);
+                let left = self
+                    .scratch_cand
+                    .intersect_with_drain(&mut self.scratch_adj);
                 if left == 0 {
                     break;
                 }

@@ -186,6 +186,14 @@ fn ggd_chase_sat_is_worker_count_invariant() {
         assert!(r.is_satisfiable(), "p={p}");
         assert_eq!(r.stats.generated_nodes, base.stats.generated_nodes, "p={p}");
         assert_eq!(r.stats.rounds, base.stats.rounds, "p={p}");
+        // The spent-match ledger is part of the determinism: which
+        // matches are scanned and committed does not depend on p.
+        assert_eq!(r.stats.premise_evals, base.stats.premise_evals, "p={p}");
+        assert_eq!(
+            r.stats.apply_independent, base.stats.apply_independent,
+            "p={p}"
+        );
+        assert_eq!(r.stats.apply_conflicts, base.stats.apply_conflicts, "p={p}");
         assert_eq!(fingerprint(r.model().unwrap()), base_fp, "p={p}");
     }
 
@@ -246,6 +254,44 @@ fn conflict_heavy_chase_is_worker_count_invariant() {
             "p={p}"
         );
         assert_eq!(fingerprint(r.model().unwrap()), base_fp, "p={p}");
+    }
+}
+
+/// The generating chase is semi-naive: each `(rule, match)` is committed
+/// at most once, so the committed firings cannot outnumber the matches
+/// enumerated. A naive rescan re-commits every literal firing each round
+/// it still fires, which on these sets exceeds the enumeration count.
+#[test]
+fn ggd_chase_commits_each_match_at_most_once() {
+    let mixed = GgdGenConfig {
+        chain_depth: 2,
+        gen_per_tier: 2,
+        fanout: 3,
+        literal_rules: 8,
+        seed: 13,
+    };
+    let overlap = GgdGenConfig {
+        chain_depth: 3,
+        gen_per_tier: 2,
+        fanout: 2,
+        literal_rules: 3,
+        seed: 37,
+    };
+    let sets = [
+        ("mixed", mixed_ggd_workload(&mixed, &mut Vocab::new())),
+        ("overlap", ggd_overlap_workload(&overlap, &mut Vocab::new())),
+    ];
+    for (name, deps) in &sets {
+        for p in worker_counts() {
+            let r = dep_sat_with_config(deps, &chase_cfg(p));
+            assert!(r.is_satisfiable(), "{name} p={p}");
+            let committed = r.stats.apply_independent + r.stats.apply_conflicts;
+            assert!(
+                committed <= r.stats.matches_enumerated,
+                "{name} p={p}: {committed} firings committed from {} matches",
+                r.stats.matches_enumerated
+            );
+        }
     }
 }
 
@@ -515,12 +561,7 @@ fn pool_rules(vocab: &mut Vocab) -> GfdSet {
     let x = p2.add_node(t, "x");
     let y = p2.add_node(t, "y");
     p2.add_edge(x, e, y);
-    let r2 = Gfd::new(
-        "pool-eq",
-        p2,
-        vec![],
-        vec![Literal::eq_attr(x, b, y, b)],
-    );
+    let r2 = Gfd::new("pool-eq", p2, vec![], vec![Literal::eq_attr(x, b, y, b)]);
     GfdSet::from_vec(vec![r1, r2])
 }
 

@@ -48,7 +48,6 @@ fn models_are_sigma_bounded() {
 
 #[test]
 fn model_attribute_values_are_sigma_constants_or_fresh() {
-    
     use gfd::core::Operand;
     for seed in 0..3 {
         let w = workload(seed);
